@@ -94,6 +94,8 @@ def cmd_slots(args):
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     c = _load_blif(args.circuit)
     r = parse_real(_read(args.real))
     report = check_equivalence(

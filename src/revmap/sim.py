@@ -1,90 +1,102 @@
 """Simulation, equivalence checking and circuit statistics.
 
-eval_ir and eval_rev are the two reference evaluators; equivalence
-checking runs both on the same assignments and compares primary outputs
-by name.  Inputs are enumerated exhaustively up to a primary-input cap
-and sampled with a seeded generator above it.  Bijectivity checking walks
-the full line-state space, which is why it is vectorized with numpy and
-capped by line count.
+eval_ir and eval_rev are the two reference evaluators.  Both are
+word-level simulators: every net or line carries a Python int whose bit k
+is its value under assignment k, so one call evaluates a whole word of
+assignments with one bitwise operation per gate.  The default word width
+of one bit evaluates a single assignment.  Equivalence checking runs both
+evaluators on the same words of up to BLOCK assignments and compares
+primary outputs by name.  Inputs are enumerated exhaustively up to a
+primary-input cap and sampled with a seeded generator above it.
+Bijectivity checking walks the full line-state space, one bit per state,
+which is why it is capped by line count.
 """
 
 import random
 from dataclasses import dataclass
-from itertools import product
-
-import numpy as np
 
 from .errors import FeedbackError, NameMismatchError
-from .ir import IrCircuit, IrGate, IrGateKind, detect_cycles
+from .ir import IrCircuit, IrGate, IrGateKind, RevCircuit, detect_cycles
 
-_BINARY = {
-    IrGateKind.AND: lambda a, b: a & b,
-    IrGateKind.NAND: lambda a, b: 1 ^ (a & b),
-    IrGateKind.OR: lambda a, b: a | b,
-    IrGateKind.NOR: lambda a, b: 1 ^ (a | b),
-    IrGateKind.XOR: lambda a, b: a ^ b,
-    IrGateKind.XNOR: lambda a, b: 1 ^ a ^ b,
+# assignments per word in check_equivalence
+BLOCK = 4096
+
+# each plain gate kind as one bitwise op on words; mask is all ones
+_WORD_OPS = {
+    IrGateKind.NOT: lambda mask, a: mask ^ a,
+    IrGateKind.AND: lambda mask, a, b: a & b,
+    IrGateKind.NAND: lambda mask, a, b: mask ^ (a & b),
+    IrGateKind.OR: lambda mask, a, b: a | b,
+    IrGateKind.NOR: lambda mask, a, b: mask ^ (a | b),
+    IrGateKind.XOR: lambda mask, a, b: a ^ b,
+    IrGateKind.XNOR: lambda mask, a, b: mask ^ a ^ b,
 }
 
 _QUANTUM_COST = {0: 1, 1: 1, 2: 5}
 
 
-def eval_ir(c, assignment):
-    """Evaluate the conventional circuit; return {output_name: bit}.
+def eval_ir(c, assignment, word_width=1):
+    """Evaluate the conventional circuit; return {output_name: word}.
 
-    assignment must give a bit for every primary input.  Gates are
+    assignment must give a word of word_width bits for every primary
+    input; with the default width that is a single bit.  Gates are
     evaluated in a topological order, so declaration order is free.
     """
     missing = [name for name in c.inputs if name not in assignment]
     if missing:
         raise ValueError(f"assignment misses inputs: {missing}")
-    values = {name: assignment[name] & 1 for name in c.inputs}
+    mask = (1 << word_width) - 1
+    values = {name: assignment[name] & mask for name in c.inputs}
     for i in _topo_order(c):
         g = c.gates[i]
         ins = [values[name] for name in g.inputs]
-        if g.kind is IrGateKind.NOT:
-            values[g.outputs[0]] = 1 ^ ins[0]
-        elif g.kind is IrGateKind.COPY:
-            values[g.outputs[0]] = ins[0]
-            values[g.outputs[1]] = ins[0]
+        if g.kind is IrGateKind.COPY:
+            values[g.outputs[0]] = values[g.outputs[1]] = ins[0]
         else:
-            values[g.outputs[0]] = _BINARY[g.kind](*ins)
+            values[g.outputs[0]] = _WORD_OPS[g.kind](mask, *ins)
     return {name: values[name] for name in c.outputs}
 
 
 def _topo_order(c):
+    """Gate positions in an order where every gate follows its drivers."""
     cycle = detect_cycles(c)
     if cycle is not None:
         raise FeedbackError(cycle)
     driver = {net: i for i, g in enumerate(c.gates) for net in g.outputs}
-    order = []
-    done = set()
-
-    def visit(i):
-        if i in done:
-            return
-        done.add(i)
-        for net in c.gates[i].inputs:
+    pending = [0] * len(c.gates)
+    readers = [[] for _ in c.gates]
+    for i, g in enumerate(c.gates):
+        for net in g.inputs:
             if net in driver:
-                visit(driver[net])
-        order.append(i)
-
-    for i in range(len(c.gates)):
-        visit(i)
+                pending[i] += 1
+                readers[driver[net]].append(i)
+    order = [i for i, n in enumerate(pending) if n == 0]
+    for i in order:
+        for j in readers[i]:
+            pending[j] -= 1
+            if pending[j] == 0:
+                order.append(j)
     return order
 
 
-def eval_rev(r, state):
-    """Apply the reversible gate list to a full line state (bit per line)."""
+def eval_rev(r, state, word_width=1):
+    """Apply the reversible gate list to a full line state (word per line).
+
+    state gives a word of word_width bits for every line; with the default
+    width that is a single bit.  Returns the final words as a tuple.
+    """
     if len(state) != r.width:
         raise ValueError(
             f"state has {len(state)} bits for {r.width} lines"
         )
-    bits = [b & 1 for b in state]
+    mask = (1 << word_width) - 1
+    words = [w & mask for w in state]
     for g in r.gates:
-        if all(bits[i] for i in g.controls):
-            bits[g.target] ^= 1
-    return tuple(bits)
+        hit = mask
+        for i in g.controls:
+            hit &= words[i]
+        words[g.target] ^= hit
+    return tuple(words)
 
 
 @dataclass(frozen=True)
@@ -118,9 +130,11 @@ def check_equivalence(c, r, max_exhaustive=12, samples=4096, seed=0):
     """Compare a conventional circuit against a reversible one.
 
     Exhaustive over all primary-input assignments up to max_exhaustive
-    inputs, otherwise `samples` assignments drawn from a generator seeded
-    with `seed`.  Primary input and output names must agree as sets;
-    outputs are compared by name.
+    inputs, first input most significant, otherwise `samples` (at least
+    one) assignments drawn from a generator seeded with `seed`.  Primary
+    input and output names must agree as sets; outputs are compared by
+    name.  `checked` counts the assignments up to and including the first
+    mismatch.
     """
     if set(c.inputs) != set(r.primary_inputs):
         raise NameMismatchError(
@@ -136,64 +150,113 @@ def check_equivalence(c, r, max_exhaustive=12, samples=4096, seed=0):
     n = len(c.inputs)
     if n <= max_exhaustive:
         mode, used_seed = "exhaustive", None
-        patterns = ("".join(bits) for bits in product("01", repeat=n))
+        blocks = _exhaustive_blocks(n)
     else:
+        if samples < 1:
+            raise ValueError(f"need at least one sample, got {samples}")
         mode, used_seed = "sampled", seed
-        rng = random.Random(seed)
-        patterns = (
-            format(rng.getrandbits(n), f"0{n}b") for _ in range(samples)
-        )
+        blocks = _sampled_blocks(n, samples, random.Random(seed))
 
     po_lines = [
         (i, ln.output) for i, ln in enumerate(r.lines) if ln.output is not None
     ]
     checked = 0
-    for bits in patterns:
-        assignment = {name: int(b) for name, b in zip(c.inputs, bits)}
-        expected = eval_ir(c, assignment)
+    for size, columns in blocks:
+        words = dict(zip(c.inputs, columns))
+        mask = (1 << size) - 1
+        expected = eval_ir(c, words, size)
         start = [
-            ln.constant if ln.constant is not None else assignment[ln.name]
+            words[ln.name] if ln.constant is None else mask * ln.constant
             for ln in r.lines
         ]
-        end = eval_rev(r, start)
+        end = eval_rev(r, start, size)
         actual = {name: end[i] for i, name in po_lines}
-        checked += 1
-        if any(expected[name] != actual[name] for name in c.outputs):
-            witness = Witness(bits, assignment, expected, actual)
-            return EquivalenceReport("Mismatch", checked, mode, used_seed, witness)
+        diff = 0
+        for name in c.outputs:
+            diff |= expected[name] ^ actual[name]
+        if diff:
+            k = _lowest_bit(diff)
+            witness = Witness(
+                "".join(str((w >> k) & 1) for w in columns),
+                {name: (w >> k) & 1 for name, w in words.items()},
+                {name: (w >> k) & 1 for name, w in expected.items()},
+                {name: (w >> k) & 1 for name, w in actual.items()},
+            )
+            return EquivalenceReport(
+                "Mismatch", checked + k + 1, mode, used_seed, witness
+            )
+        checked += size
     return EquivalenceReport("Equivalent", checked, mode, used_seed)
+
+
+def _lowest_bit(word):
+    """Position of the lowest set bit of a nonzero word."""
+    return (word & -word).bit_length() - 1
+
+
+def _periodic(p, size):
+    """A word of `size` bits (a power of two) whose bit k is bit p of k."""
+    half = 1 << p
+    word = ((1 << half) - 1) << half
+    span = 2 * half
+    while span < size:
+        word |= word << span
+        span *= 2
+    return word
+
+
+def _exhaustive_blocks(n):
+    """Yield (size, input words) covering all 2^n assignments in order.
+
+    Assignment j sets input i to bit n-1-i of j.  Within a block the low
+    input bits cycle and the high ones are constant.
+    """
+    size = min(1 << n, BLOCK)
+    low = size.bit_length() - 1
+    mask = (1 << size) - 1
+    cycling = [_periodic(p, size) for p in reversed(range(low))]
+    for base in range(0, 1 << n, size):
+        fixed = [mask * ((base >> p) & 1) for p in reversed(range(low, n))]
+        yield size, fixed + cycling
+
+
+def _sampled_blocks(n, samples, rng):
+    """Yield (size, input words) for `samples` draws of rng.getrandbits(n)."""
+    for start in range(0, samples, BLOCK):
+        size = min(BLOCK, samples - start)
+        rows = [format(rng.getrandbits(n), f"0{n}b") for _ in range(size)]
+        yield size, [int("".join(bits), 2) for bits in zip(*reversed(rows))]
 
 
 def check_bijectivity(r, max_lines=16):
     """Walk all line states; return None if the map is a bijection.
 
-    On failure returns a pair of distinct input states with equal images.
-    Composition of reversible gates is always bijective, so this is a
-    consistency check on the construction; it raises ValueError above the
-    line cap rather than trying 2^width states.
+    Line i starts as the word whose bit v is bit i of state v.  The gate
+    list is applied and then the reversed gate list; ending on the
+    starting words shows the reverse is a left inverse, so the map is
+    injective and, on a finite state space, a bijection.  Otherwise
+    returns a state and its differing round-trip image.  Raises
+    ValueError above the line cap rather than trying 2^width states.
     """
     width = r.width
     if width > max_lines:
         raise ValueError(f"{width} lines exceed the bijectivity cap {max_lines}")
-    state = np.arange(1 << width, dtype=np.uint64)
-    one = np.uint64(1)
-    for g in r.gates:
-        hit = np.ones_like(state)
-        for i in g.controls:
-            hit &= state >> np.uint64(i)
-        hit &= one
-        state ^= hit << np.uint64(g.target)
-    order = np.argsort(state, kind="stable")
-    ranked = state[order]
-    dup = np.nonzero(ranked[1:] == ranked[:-1])[0]
-    if dup.size == 0:
+    states = 1 << width
+    start = [_periodic(i, states) for i in range(width)]
+    there = eval_rev(r, start, states)
+    back = RevCircuit(r.name, r.lines, tuple(reversed(r.gates)))
+    end = eval_rev(back, there, states)
+    diff = 0
+    for a, b in zip(start, end):
+        diff |= a ^ b
+    if not diff:
         return None
-    a, b = int(order[dup[0]]), int(order[dup[0] + 1])
+    v = _lowest_bit(diff)
 
-    def unpack(v):
-        return tuple((v >> i) & 1 for i in range(width))
+    def unpack(words):
+        return tuple((w >> v) & 1 for w in words)
 
-    return (unpack(a), unpack(b))
+    return (unpack(start), unpack(end))
 
 
 @dataclass(frozen=True)

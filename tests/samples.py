@@ -82,3 +82,16 @@ def pipeline(text):
     """Parse plain BLIF and run it through prep and slotting."""
     c = parse_blif(text)
     return c, slot_circuit(insert_copiers(c))
+
+
+def not_chain_blif(length):
+    """A chain of `length` NOT gates from a to y, declared output first.
+
+    Every gate reads a net driven by a gate declared after it, so a
+    recursive walk from the first gate goes `length` calls deep.
+    """
+    nets = ["a", *(f"w{k}" for k in range(1, length)), "y"]
+    covers = "".join(
+        f".names {nets[k - 1]} {nets[k]}\n0 1\n" for k in range(length, 0, -1)
+    )
+    return f".model chain\n.inputs a\n.outputs y\n{covers}.end\n"

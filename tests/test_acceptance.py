@@ -146,7 +146,7 @@ def test_c5_fanout_prep_on_200_random_circuits_under_5s():
     assert time.perf_counter() - start < 5.0
 
 
-def test_c6_full_pipeline_on_200_random_circuits_under_30s():
+def test_c6_full_pipeline_on_200_random_circuits_under_5s():
     start = time.perf_counter()
     failures = []
     for c in random_suite():
@@ -156,7 +156,7 @@ def test_c6_full_pipeline_on_200_random_circuits_under_30s():
         if rev.width <= 16 and check_bijectivity(rev) is not None:
             failures.append((c.name, "bijectivity"))
     assert failures == []
-    assert time.perf_counter() - start < 30.0
+    assert time.perf_counter() - start < 5.0
 
 
 def test_c7_parsers_and_writers_round_trip():

@@ -3,7 +3,7 @@
 import pytest
 
 from revmap.cli import main
-from samples import AND_BLIF, FEEDBACK_BLIF, HALF_ADDER_BLIF
+from samples import AND_BLIF, FEEDBACK_BLIF, HALF_ADDER_BLIF, not_chain_blif
 
 HALF_ADDER_REAL = (
     ".version 2.0\n"
@@ -127,6 +127,38 @@ def test_verify_sampled_mode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "checked=128" in out
     assert "mode=sampled seed=77" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_without_samples_is_exit_4(tmp_path, capsys, samples):
+    blif = tmp_path / "wide.blif"
+    real = tmp_path / "wide.real"
+    assert main(["gen", "--seed", "3", "--inputs", "14", "--gates", "20",
+                 "-o", str(blif)]) == 0
+    assert main(["convert", str(blif), "-o", str(real)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(blif), str(real), "--samples", samples]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[4]: --samples must be at least 1, got {samples}\n"
+
+
+def test_deep_chain_declared_output_first(tmp_path, capsys):
+    blif = tmp_path / "chain.blif"
+    real = tmp_path / "chain.real"
+    blif.write_text(not_chain_blif(3000))
+    real.write_text(
+        ".version 2.0\n.numvars 1\n.variables a\n.inputs a\n.outputs y\n"
+        ".constants -\n.garbage -\n.begin\n" + "t1 a\n" * 3000 + ".end\n"
+    )
+    assert main(["sim", str(blif), "--input", "1"]) == 0
+    assert capsys.readouterr().out == "y=1\n"
+    assert main(["verify", str(blif), str(real)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "status=Equivalent checked=2 witness=none",
+        "mode=exhaustive seed=-",
+        "bijectivity=ok states=2",
+    ]
 
 
 def test_sim_blif(half_adder, capsys):

@@ -1,5 +1,7 @@
 """Evaluators, equivalence checking, bijectivity and statistics."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +23,21 @@ from revmap import (
     eval_rev,
     gen_random_circuit,
     insert_copiers,
+    parse_blif,
     slot_circuit,
     stats,
     t1,
     t2,
     t3,
 )
-from samples import BOOL_FN, HALF_ADDER_BLIF, pipeline, single_gate_blif
+from revmap import sim
+from samples import (
+    BOOL_FN,
+    HALF_ADDER_BLIF,
+    not_chain_blif,
+    pipeline,
+    single_gate_blif,
+)
 
 K = IrGateKind
 
@@ -47,6 +57,24 @@ def test_eval_ir_matches_oracle(kind):
         assignment = {names[i]: (bits >> (n - 1 - i)) & 1 for i in range(n)}
         got = eval_ir(c, assignment)
         assert got["y"] == BOOL_FN[kind](*(assignment[nm] for nm in names))
+
+
+def test_eval_ir_words_carry_one_assignment_per_bit():
+    c = gen_random_circuit(21, 5, 30)
+    rng = random.Random(4)
+    width = 70
+    words = {name: rng.getrandbits(width) for name in c.inputs}
+    got = eval_ir(c, words, width)
+    for k in range(width):
+        one = eval_ir(c, {name: (w >> k) & 1 for name, w in words.items()})
+        assert one == {name: (w >> k) & 1 for name, w in got.items()}
+
+
+def test_eval_ir_deep_chain_declared_output_first():
+    c = parse_blif(not_chain_blif(3000))
+    assert eval_ir(c, {"a": 0}) == {"y": 0}
+    assert eval_ir(c, {"a": 1}) == {"y": 1}
+    assert eval_ir(c, {"a": 0b0110}, 4) == {"y": 0b0110}
 
 
 def test_eval_ir_copy_duplicates():
@@ -111,6 +139,18 @@ def test_eval_rev_anchor_rows():
     assert eval_rev(toffoli, (1, 1, 0)) == (1, 1, 1)
     assert eval_rev(toffoli, (1, 1, 1)) == (1, 1, 0)
     assert eval_rev(toffoli, (0, 1, 1)) == (0, 1, 1)
+
+
+def test_eval_rev_words_carry_one_state_per_bit():
+    c = gen_random_circuit(8, 4, 12)
+    rev = convert_circuit(slot_circuit(insert_copiers(c)))
+    rng = random.Random(6)
+    width = 40
+    words = [rng.getrandbits(width) for _ in rev.lines]
+    got = eval_rev(rev, words, width)
+    for k in range(width):
+        one = eval_rev(rev, [(w >> k) & 1 for w in words])
+        assert one == tuple((w >> k) & 1 for w in got)
 
 
 def test_eval_rev_length_mismatch():
@@ -188,6 +228,17 @@ def test_sampled_mode_above_the_cap():
     assert again == report
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_mode_needs_a_sample(samples):
+    c = gen_random_circuit(3, 14, 6)
+    rev = convert_circuit(slot_circuit(insert_copiers(c)))
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_equivalence(c, rev, samples=samples)
+    # exhaustive mode never reads the sample count
+    report = check_equivalence(c, rev, max_exhaustive=14, samples=0)
+    assert (report.mode, report.checked) == ("exhaustive", 1 << 14)
+
+
 def test_exhaustive_cap_is_tunable():
     c = gen_random_circuit(4, 5, 4)
     rev = convert_circuit(slot_circuit(insert_copiers(c)))
@@ -209,6 +260,85 @@ def test_name_mismatch_rejected():
     )
     with pytest.raises(NameMismatchError, match="primary inputs differ"):
         check_equivalence(c, renamed)
+
+
+def _scalar_ir(c, assignment):
+    """Evaluate c one assignment at a time, straight from the truth tables."""
+    values = dict(assignment)
+    pending = list(c.gates)
+    while pending:
+        ready = [g for g in pending if all(n in values for n in g.inputs)]
+        for g in ready:
+            ins = [values[n] for n in g.inputs]
+            for out in g.outputs:
+                values[out] = ins[0] if g.kind is K.COPY else BOOL_FN[g.kind](*ins)
+        pending = [g for g in pending if g not in ready]
+    return {name: values[name] for name in c.outputs}
+
+
+def _scalar_check(c, r, patterns):
+    """(status, checked, witness bits) of a one-assignment-at-a-time loop."""
+    checked = 0
+    for bits in patterns:
+        assignment = {name: int(b) for name, b in zip(c.inputs, bits)}
+        state = [
+            assignment[ln.name] if ln.constant is None else ln.constant
+            for ln in r.lines
+        ]
+        for g in r.gates:
+            if all(state[i] for i in g.controls):
+                state[g.target] ^= 1
+        actual = {ln.output: state[i] for i, ln in enumerate(r.lines)}
+        checked += 1
+        expected = _scalar_ir(c, assignment)
+        if any(expected[name] != actual[name] for name in c.outputs):
+            return "Mismatch", checked, bits
+    return "Equivalent", checked, "none"
+
+
+def _outcome(report):
+    bits = report.witness.bits if report.witness else "none"
+    return report.status, report.checked, bits
+
+
+def _one_gate_mutants(r, rng):
+    n = len(r.gates)
+    out = []
+    if n:
+        k = rng.randrange(n)
+        out.append(r.gates[:k] + r.gates[k + 1:])
+        g = r.gates[k]
+        out.append(r.gates[:k] + (t1(g.target),) + r.gates[k + 1:])
+    k = rng.randrange(n + 1)
+    out.append(r.gates[:k] + (t1(rng.randrange(r.width)),) + r.gates[k:])
+    return [RevCircuit(r.name, r.lines, gates) for gates in out]
+
+
+@pytest.mark.parametrize("block", [sim.BLOCK, 4])
+def test_checker_agrees_with_a_scalar_loop(block, monkeypatch):
+    # a small block puts block boundaries inside every enumeration
+    monkeypatch.setattr(sim, "BLOCK", block)
+    rng = random.Random(block)
+    for seed in range(24):
+        n = 1 + seed % 7
+        c = gen_random_circuit(seed, n, rng.randrange(1, 14))
+        rev = convert_circuit(slot_circuit(insert_copiers(c)))
+        for r in [rev, *_one_gate_mutants(rev, rng)]:
+            report = check_equivalence(c, r)
+            every = (format(j, f"0{n}b") for j in range(1 << n))
+            assert report.mode == "exhaustive"
+            assert _outcome(report) == _scalar_check(c, r, every)
+
+            samples = rng.randrange(1, 40)
+            report = check_equivalence(
+                c, r, max_exhaustive=n - 1, samples=samples, seed=seed
+            )
+            draws = random.Random(seed)
+            drawn = (
+                format(draws.getrandbits(n), f"0{n}b") for _ in range(samples)
+            )
+            assert report.mode == "sampled"
+            assert _outcome(report) == _scalar_check(c, r, drawn)
 
 
 # ------------------------------------------------------- check_bijectivity
