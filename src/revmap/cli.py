@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .blif import parse_intermediate, write_intermediate
-from .convert import conversion_trace, convert_circuit
+from .convert import _convert, convert_circuit
 from .errors import RevmapError, UsageError
 from .fanout import insert_copiers
 from .ir import check_circuit
@@ -59,19 +59,22 @@ def _load_blif(path):
 
 
 def _prepare(path):
-    return insert_copiers(_load_blif(path))
+    # no check_circuit: insert_copiers validates before anything else
+    return insert_copiers(parse_intermediate(_read(path)))
 
 
 def cmd_convert(args):
     slotted = slot_circuit(_prepare(args.circuit))
-    rev = convert_circuit(slotted, restore_controls=not args.no_restore_controls)
-    _write(args.output, write_real(rev))
+    restore = not args.no_restore_controls
     if args.trace:
-        for e in conversion_trace(
-            slotted, restore_controls=not args.no_restore_controls
-        ):
-            added = ",".join(map(str, e.new_lines)) or "-"
-            print(f"slot={e.slot} gate=g{e.gate} kind={e.kind.name} lines={added}")
+        rev, trace = _convert(slotted, restore)
+    else:
+        # the public name, so that profilers wrapping the API see this call
+        rev, trace = convert_circuit(slotted, restore_controls=restore), ()
+    _write(args.output, write_real(rev))
+    for e in trace:
+        added = ",".join(map(str, e.new_lines)) or "-"
+        print(f"slot={e.slot} gate=g{e.gate} kind={e.kind.name} lines={added}")
     return 0
 
 

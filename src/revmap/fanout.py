@@ -24,6 +24,7 @@ from .ir import (
     IrCircuit,
     IrGate,
     IrGateKind,
+    _net_records,
     build_netlist,
     detect_cycles,
 )
@@ -47,7 +48,8 @@ def insert_copiers(c):
     cycle = detect_cycles(c)
     if cycle is not None:
         raise FeedbackError(cycle)
-    records = build_netlist(c)
+    # detect_cycles has validated c
+    records = _net_records(c)
     used = set(records)
     new_inputs = [list(g.inputs) for g in c.gates]
     renamed_out = {}

@@ -269,6 +269,11 @@ def build_netlist(c):
     circuit must validate.
     """
     check_circuit(c)
+    return _net_records(c)
+
+
+def _net_records(c):
+    """build_netlist without the validation; c must already validate."""
     table = {}
 
     def touch(net):
@@ -295,36 +300,47 @@ def detect_cycles(c):
     """Return an ordered gate-position cycle, or None if the graph is acyclic.
 
     Gate a depends on gate b when some input net of a is driven by b.  The
-    search visits gates in declaration order, so the witness is stable.
+    witness is found by starting at the lowest-position gate that depends,
+    directly or not, on a cycle and following each gate's first such
+    driver (in input order) until a gate repeats; the cycle runs from that
+    gate's first visit, in the order walked.
     """
     check_circuit(c)
+    return _gate_order(c)[2]
+
+
+def _gate_order(c):
+    """Kahn's pass over the gate graph of a circuit that validates.
+
+    Returns (order, level, cycle): the gates that can be placed, each after
+    its drivers; per gate, if placed, its ASAP level (1 + the highest level
+    of its drivers, 1 if it reads only primary inputs); and detect_cycles'
+    witness, or None when every gate is placed.
+    """
     driver = {net: i for i, g in enumerate(c.gates) for net in g.outputs}
-    deps = [
+    drivers = [
         [driver[net] for net in g.inputs if net in driver] for g in c.gates
     ]
-    state = [0] * len(c.gates)  # 0 new, 1 on path, 2 done
-    path = []
-
-    for root in range(len(c.gates)):
-        if state[root]:
-            continue
-        stack = [(root, iter(deps[root]))]
-        state[root] = 1
-        path.append(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return path[path.index(nxt):]
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(deps[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                path.pop()
-                stack.pop()
-    return None
+    pending = [len(ds) for ds in drivers]
+    readers = [[] for _ in c.gates]
+    for i, ds in enumerate(drivers):
+        for d in ds:
+            readers[d].append(i)
+    level = [1] * len(c.gates)
+    order = [i for i, n in enumerate(pending) if n == 0]
+    for i in order:
+        for j in readers[i]:
+            level[j] = max(level[j], level[i] + 1)
+            pending[j] -= 1
+            if pending[j] == 0:
+                order.append(j)
+    if len(order) == len(c.gates):
+        return order, level, None
+    # every unplaced gate has an unplaced driver, so the walk must repeat
+    unplaced = [n > 0 for n in pending]
+    walked = {}  # gate -> step of the walk, in walk order
+    node = unplaced.index(True)
+    while node not in walked:
+        walked[node] = len(walked)
+        node = next(d for d in drivers[node] if unplaced[d])
+    return order, level, list(walked)[walked[node]:]

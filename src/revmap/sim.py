@@ -16,7 +16,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import FeedbackError, NameMismatchError
-from .ir import IrCircuit, IrGate, IrGateKind, RevCircuit, detect_cycles
+from .ir import (
+    IrCircuit,
+    IrGate,
+    IrGateKind,
+    RevCircuit,
+    _gate_order,
+    check_circuit,
+)
 
 # assignments per word in check_equivalence
 BLOCK = 4096
@@ -45,9 +52,13 @@ def eval_ir(c, assignment, word_width=1):
     missing = [name for name in c.inputs if name not in assignment]
     if missing:
         raise ValueError(f"assignment misses inputs: {missing}")
+    check_circuit(c)
+    order, _, cycle = _gate_order(c)
+    if cycle is not None:
+        raise FeedbackError(cycle)
     mask = (1 << word_width) - 1
     values = {name: assignment[name] & mask for name in c.inputs}
-    for i in _topo_order(c):
+    for i in order:
         g = c.gates[i]
         ins = [values[name] for name in g.inputs]
         if g.kind is IrGateKind.COPY:
@@ -55,28 +66,6 @@ def eval_ir(c, assignment, word_width=1):
         else:
             values[g.outputs[0]] = _WORD_OPS[g.kind](mask, *ins)
     return {name: values[name] for name in c.outputs}
-
-
-def _topo_order(c):
-    """Gate positions in an order where every gate follows its drivers."""
-    cycle = detect_cycles(c)
-    if cycle is not None:
-        raise FeedbackError(cycle)
-    driver = {net: i for i, g in enumerate(c.gates) for net in g.outputs}
-    pending = [0] * len(c.gates)
-    readers = [[] for _ in c.gates]
-    for i, g in enumerate(c.gates):
-        for net in g.inputs:
-            if net in driver:
-                pending[i] += 1
-                readers[driver[net]].append(i)
-    order = [i for i, n in enumerate(pending) if n == 0]
-    for i in order:
-        for j in readers[i]:
-            pending[j] -= 1
-            if pending[j] == 0:
-                order.append(j)
-    return order
 
 
 def eval_rev(r, state, word_width=1):

@@ -1,20 +1,21 @@
 """Levelize a fanout-free circuit into slots.
 
-Slot 0 holds the primary input nets and no gates.  Each later slot takes
-every unplaced gate whose inputs are all available after the previous
-slot, then updates the available-net set: consumed nets leave, the new
-gates' outputs arrive, untouched nets pass through.  The loop stops when
-the available set equals the primary output set, which on a fanout-free
-acyclic circuit coincides with all gates being placed.
+Slot 0 holds the primary input nets and no gates.  Slot k holds, in
+declaration order, the gates at ASAP level k: a gate that reads only
+primary inputs is at level 1, any other gate at 1 + the highest level
+among the gates driving its inputs.  So every gate fires one slot after
+its last driver, and the slot count is 1 + the longest gate path.
 
-Nets nobody will ever read (unused primary inputs, dangling gate outputs
-that are not primary outputs) are dropped from the working set as soon as
-they appear so the stopping test stays exact; slot 0 still lists every
-primary input.
+Each slot also lists the nets available once it has fired: the new
+gates' outputs first, then the nets of the previous slot that they did
+not consume, in the previous slot's order.  Nets nobody will ever read
+(unused primary inputs, dangling gate outputs that are not primary
+outputs) are left out; slot 0 still lists every primary input.  The last
+slot therefore lists exactly the primary outputs.
 """
 
 from .errors import FanoutError, UnsupportedError
-from .ir import PO_SINK, Slot, SlottedCircuit, build_netlist
+from .ir import Slot, SlottedCircuit, _gate_order, build_netlist
 
 
 def slot_circuit(c):
@@ -26,39 +27,25 @@ def slot_circuit(c):
                 "run fanout preprocessing first"
             )
 
-    goal = set(c.outputs)
-    consumer = {
-        net: rec.sinks[0][0]
-        for net, rec in records.items()
-        if rec.sinks and rec.sinks[0] != PO_SINK
-    }
-    placed = set()
-
-    def alive(net):
-        if net in goal:
-            return True
-        return net in consumer and consumer[net] not in placed
-
-    working = [net for net in c.inputs if alive(net)]
-    slots = [Slot((), tuple(c.inputs))]
-
-    while set(working) != goal:
-        ready = set(working)
-        chosen = tuple(
-            i
-            for i, g in enumerate(c.gates)
-            if i not in placed and all(net in ready for net in g.inputs)
+    order, level, cycle = _gate_order(c)
+    if cycle is not None:
+        placed = set(order)
+        left = ", ".join(f"g{i}" for i in range(len(c.gates)) if i not in placed)
+        raise UnsupportedError(
+            f"slotting made no progress; unplaced gates: {left}"
         )
-        if not chosen:
-            left = ", ".join(f"g{i}" for i in range(len(c.gates)) if i not in placed)
-            raise UnsupportedError(
-                f"slotting made no progress; unplaced gates: {left}"
-            )
-        placed.update(chosen)
-        consumed = {net for i in chosen for net in c.gates[i].inputs}
-        fresh = [
-            net for i in chosen for net in c.gates[i].outputs if alive(net)
-        ]
+    waves = [[] for _ in range(max(level, default=0))]
+    for i, k in enumerate(level):
+        waves[k - 1].append(i)
+
+    # fanout-free, so a net with a sink is a primary output or is read by
+    # exactly one gate, and it stays available until that gate fires
+    wanted = {net for net, rec in records.items() if rec.sinks}
+    working = [net for net in c.inputs if net in wanted]
+    slots = [Slot((), tuple(c.inputs))]
+    for wave in waves:
+        consumed = {net for i in wave for net in c.gates[i].inputs}
+        fresh = [net for i in wave for net in c.gates[i].outputs if net in wanted]
         working = fresh + [net for net in working if net not in consumed]
-        slots.append(Slot(chosen, tuple(working)))
+        slots.append(Slot(tuple(wave), tuple(working)))
     return SlottedCircuit(c, tuple(slots))

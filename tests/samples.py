@@ -95,3 +95,11 @@ def not_chain_blif(length):
         f".names {nets[k - 1]} {nets[k]}\n0 1\n" for k in range(length, 0, -1)
     )
     return f".model chain\n.inputs a\n.outputs y\n{covers}.end\n"
+
+
+def not_chain_real(length):
+    """The .real that `revmap convert` emits for not_chain_blif(length)."""
+    return (
+        ".version 2.0\n.numvars 1\n.variables a\n.inputs a\n.outputs y\n"
+        ".constants -\n.garbage -\n.begin\n" + "t1 a\n" * length + ".end\n"
+    )

@@ -28,7 +28,13 @@ from revmap import (
 )
 from revmap import Line, RevCircuit
 from revmap.cli import main
-from samples import HALF_ADDER_BLIF, pipeline, single_gate_blif
+from samples import (
+    HALF_ADDER_BLIF,
+    not_chain_blif,
+    not_chain_real,
+    pipeline,
+    single_gate_blif,
+)
 
 K = IrGateKind
 
@@ -127,11 +133,11 @@ def test_c4_two_stage_example_slots_with_pass_through():
     slotted = slot_circuit(insert_copiers(parse_blif(text)))
     assert len(slotted.slots) == 3
     assert slotted.slots[0].nets == ("A", "B", "C", "D", "E")
-    assert set(slotted.slots[1].gates) == {0, 1}
-    assert set(slotted.slots[2].gates) == {2, 3}
+    assert slotted.slots[1].gates == (0, 1)
+    assert slotted.slots[2].gates == (2, 3)
     # E is not consumed in the first stage; it rides through slot 1
-    assert "E" in slotted.slots[1].nets
-    assert set(slotted.slots[2].nets) == {"H", "I"}
+    assert slotted.slots[1].nets == ("F", "G", "E")
+    assert slotted.slots[2].nets == ("H", "I")
 
 
 def test_c5_fanout_prep_on_200_random_circuits_under_5s():
@@ -226,3 +232,15 @@ def test_c9_unsupported_inputs_fail_loudly(tmp_path, capsys):
     odd.write_text(".model o\n.inputs a b\n.outputs y\n.names a b y\n10 1\n.end\n")
     assert main(["convert", str(odd), "-o", "-"]) == 3
     assert "unrecognized cover" in capsys.readouterr().err
+
+
+def test_c10_reverse_declared_chain_converts_under_1s(tmp_path):
+    # 3000 slots of one gate each: slotting must not rescan every gate
+    # once per slot
+    blif = tmp_path / "chain.blif"
+    real = tmp_path / "chain.real"
+    blif.write_text(not_chain_blif(3000))
+    start = time.perf_counter()
+    assert main(["convert", str(blif), "-o", str(real)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert real.read_text() == not_chain_real(3000)

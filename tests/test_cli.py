@@ -2,8 +2,15 @@
 
 import pytest
 
+import revmap.ir
 from revmap.cli import main
-from samples import AND_BLIF, FEEDBACK_BLIF, HALF_ADDER_BLIF, not_chain_blif
+from samples import (
+    AND_BLIF,
+    FEEDBACK_BLIF,
+    HALF_ADDER_BLIF,
+    not_chain_blif,
+    not_chain_real,
+)
 
 HALF_ADDER_REAL = (
     ".version 2.0\n"
@@ -33,6 +40,22 @@ def test_convert_writes_real_file(half_adder, tmp_path):
     out = tmp_path / "ha.real"
     assert main(["convert", str(half_adder), "-o", str(out)]) == 0
     assert out.read_text() == HALF_ADDER_REAL
+
+
+def test_convert_validates_the_circuit_twice(half_adder, tmp_path, monkeypatch):
+    # once before fanout removal, once before slotting
+    calls = []
+    original = revmap.ir.validate_circuit
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(revmap.ir, "validate_circuit", counted)
+    out = tmp_path / "ha.real"
+    assert main(["convert", str(half_adder), "-o", str(out)]) == 0
+    assert out.read_text() == HALF_ADDER_REAL
+    assert len(calls) == 2
 
 
 def test_convert_to_stdout(half_adder, capsys):
@@ -147,10 +170,7 @@ def test_deep_chain_declared_output_first(tmp_path, capsys):
     blif = tmp_path / "chain.blif"
     real = tmp_path / "chain.real"
     blif.write_text(not_chain_blif(3000))
-    real.write_text(
-        ".version 2.0\n.numvars 1\n.variables a\n.inputs a\n.outputs y\n"
-        ".constants -\n.garbage -\n.begin\n" + "t1 a\n" * 3000 + ".end\n"
-    )
+    real.write_text(not_chain_real(3000))
     assert main(["sim", str(blif), "--input", "1"]) == 0
     assert capsys.readouterr().out == "y=1\n"
     assert main(["verify", str(blif), str(real)]) == 0

@@ -150,6 +150,52 @@ def test_detect_cycles_reports_inner_loop_only():
     assert detect_cycles(c) == [1, 2]
 
 
+def test_detect_cycles_lowest_gate_hangs_off_loop():
+    c = circuit(
+        "a",
+        ("z",),
+        [
+            gate(K.NOT, "q", "z"),
+            gate(K.AND, ("a", "q"), "p"),
+            gate(K.NOT, "p", "q"),
+        ],
+    )
+    # g0 reads the loop but is not part of it; the witness starts where
+    # the walk from g0 first meets a gate it has already passed.
+    assert detect_cycles(c) == [2, 1]
+
+
+def test_detect_cycles_skips_acyclic_first_driver():
+    c = circuit(
+        "ab",
+        ("z",),
+        [
+            gate(K.NOT, "a", "n"),
+            gate(K.AND, ("n", "r"), "p"),
+            gate(K.NOT, "p", ("r2",)),
+            gate(K.NOT, ("r2",), "r"),
+            gate(K.NOT, "b", "z"),
+        ],
+    )
+    # g1's first input comes from the acyclic g0, its second from the loop
+    assert detect_cycles(c) == [1, 3, 2]
+
+
+def test_detect_cycles_reports_first_of_two_disjoint_loops():
+    c = circuit(
+        "ab",
+        ("z",),
+        [
+            gate(K.NOT, "a", "z"),
+            gate(K.XOR, ("b", "v"), "u"),
+            gate(K.AND, ("a", "y"), "x"),
+            gate(K.NOT, "u", "v"),
+            gate(K.NOT, "x", "y"),
+        ],
+    )
+    assert detect_cycles(c) == [1, 3]
+
+
 def test_rev_gate_rejects_repeated_lines():
     with pytest.raises(ValueError):
         t3(0, 0, 1)

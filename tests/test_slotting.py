@@ -55,11 +55,11 @@ def test_two_stage_example():
     s = slot_circuit(c)
     assert len(s.slots) == 3
     assert s.slots[0].gates == ()
-    assert set(s.slots[0].nets) == {"A", "B", "C", "D", "E"}
+    assert s.slots[0].nets == ("A", "B", "C", "D", "E")
     assert s.slots[1].gates == (0, 1)
-    assert set(s.slots[1].nets) == {"F", "G", "E"}
+    assert s.slots[1].nets == ("F", "G", "E")
     assert s.slots[2].gates == (2, 3)
-    assert set(s.slots[2].nets) == {"H", "I"}
+    assert s.slots[2].nets == ("H", "I")
 
 
 def test_half_adder_slots():
@@ -111,7 +111,30 @@ def test_stuck_on_unreachable_loop():
             IrGate(K.NOT, ("w0",), ("w1",)),
         ),
     )
-    with pytest.raises(UnsupportedError, match="no progress"):
+    with pytest.raises(
+        UnsupportedError,
+        match="^slotting made no progress; unplaced gates: g1, g2$",
+    ):
+        slot_circuit(c)
+
+
+def test_stuck_on_loop_that_reads_no_input():
+    # no net of the loop is ever available, so it cannot be left out of
+    # the slot table without dropping its gates
+    c = IrCircuit(
+        "island",
+        ("a", "b"),
+        ("o",),
+        (
+            IrGate(K.AND, ("a", "b"), ("o",)),
+            IrGate(K.NOT, ("w1",), ("w0",)),
+            IrGate(K.NOT, ("w0",), ("w1",)),
+        ),
+    )
+    with pytest.raises(
+        UnsupportedError,
+        match="^slotting made no progress; unplaced gates: g1, g2$",
+    ):
         slot_circuit(c)
 
 
