@@ -33,15 +33,7 @@ _COVER_KINDS = {
 
 _BUFFER = (1, frozenset({"1"}))
 
-_EMIT_ROWS = {
-    IrGateKind.NOT: ("0",),
-    IrGateKind.AND: ("11",),
-    IrGateKind.NAND: ("00", "01", "10"),
-    IrGateKind.OR: ("01", "10", "11"),
-    IrGateKind.NOR: ("00",),
-    IrGateKind.XOR: ("01", "10"),
-    IrGateKind.XNOR: ("00", "11"),
-}
+_EMIT_ROWS = {kind: tuple(sorted(onset)) for (_, onset), kind in _COVER_KINDS.items()}
 
 _REJECTED_DIRECTIVES = (".latch", ".subckt", ".gate", ".exdc", ".clock")
 
@@ -182,17 +174,13 @@ def _parse_names(lines, pos, gates, aliases):
 
     kind = classify_cover(rows, len(ins), subject=f"gate '{out}'")
     if kind is None:
-        _record_alias(aliases, out, ins[0], gates, lineno)
+        # a gate driving the same net is caught by _resolve_aliases
+        if out in aliases:
+            raise BlifError(f"multiple drivers for net '{out}'", lineno)
+        aliases[out] = ins[0]
     else:
         gates.append(IrGate(kind, tuple(ins), (out,)))
     return pos
-
-
-def _record_alias(aliases, out, src, gates, lineno):
-    driven = {net for g in gates for net in g.outputs}
-    if out in aliases or out in driven:
-        raise BlifError(f"multiple drivers for net '{out}'", lineno)
-    aliases[out] = src
 
 
 def _resolve_aliases(c, aliases):
@@ -210,6 +198,9 @@ def _resolve_aliases(c, aliases):
                 raise BlifError(f"buffer alias cycle involving '{name}'")
             seen.add(name)
             name = aliases[name]
+        # point every walked alias at the root, so each chain is walked once
+        for alias in seen:
+            aliases[alias] = name
         return name
 
     gates = tuple(

@@ -13,8 +13,7 @@ from .blif import parse_intermediate, write_intermediate
 from .convert import _convert, convert_circuit
 from .errors import RevmapError, UsageError
 from .fanout import insert_copiers
-from .ir import check_circuit
-from .realfmt import parse_real, write_real
+from .realfmt import _output_labels, parse_real, write_real
 from .sim import (
     check_bijectivity,
     check_equivalence,
@@ -52,15 +51,13 @@ def _write(path, text):
 
 def _load_blif(path):
     # the CLI accepts the intermediate superset (.copy) everywhere, so the
-    # prep output feeds straight back into convert, verify and sim
-    c = parse_intermediate(_read(path))
-    check_circuit(c)
-    return c
+    # prep output feeds straight back into convert, verify and sim; no
+    # check_circuit here: insert_copiers and eval_ir validate before use
+    return parse_intermediate(_read(path))
 
 
 def _prepare(path):
-    # no check_circuit: insert_copiers validates before anything else
-    return insert_copiers(parse_intermediate(_read(path)))
+    return insert_copiers(_load_blif(path))
 
 
 def cmd_convert(args):
@@ -151,15 +148,8 @@ def cmd_sim(args):
         ln.constant if ln.constant is not None else next(feed) for ln in r.lines
     ]
     end = eval_rev(r, start)
-    shown = []
-    garbage_seen = 0
-    for i, ln in enumerate(r.lines):
-        if ln.output is None:
-            shown.append(f"g{garbage_seen}={end[i]}")
-            garbage_seen += 1
-        else:
-            shown.append(f"{ln.output}={end[i]}")
-    print(" ".join(shown))
+    labels = _output_labels(r.lines)
+    print(" ".join(f"{label}={bit}" for label, bit in zip(labels, end)))
     return 0
 
 

@@ -12,7 +12,7 @@ garbage.
 
 from dataclasses import dataclass, replace
 
-from .ir import IrGateKind, Line, RevCircuit, RevGate
+from .ir import IrGateKind, Line, RevCircuit, RevGate, _fresh_names
 from .templates import Role, template_for
 
 
@@ -46,18 +46,9 @@ def _convert(s, restore_controls):
     taken = set(c.inputs) | set(c.outputs)
     for g in c.gates:
         taken.update(g.inputs, g.outputs)
-    next_const = 0
+    constant_names = _fresh_names("x", taken)
     gates = []
     trace = []
-
-    def fresh_constant_name():
-        nonlocal next_const
-        name = f"x{next_const}"
-        next_const += 1
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        return name
 
     for slot_no, slot in enumerate(s.slots[1:], start=1):
         for gi in slot.gates:
@@ -74,7 +65,7 @@ def _convert(s, restore_controls):
             added = []
             for bit in tpl.constants:
                 index = len(lines)
-                lines.append(Line(fresh_constant_name(), constant=bit))
+                lines.append(Line(next(constant_names), constant=bit))
                 carrier.append(None)
                 bind[Role.ANC] = index
                 added.append(index)

@@ -13,24 +13,22 @@ class RevmapError(Exception):
     exit_code = 2
 
 
-class BlifError(RevmapError):
+class _LocatedError(RevmapError):
+    """An input error that may name the line of the file it was found on."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class BlifError(_LocatedError):
     """Syntax error in a BLIF or intermediate-format file."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class RealFormatError(RevmapError):
+class RealFormatError(_LocatedError):
     """Syntax or header error in a .real file."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ValidationError(RevmapError):

@@ -24,6 +24,7 @@ from .ir import (
     IrCircuit,
     IrGate,
     IrGateKind,
+    _fresh_names,
     _net_records,
     build_netlist,
     detect_cycles,
@@ -61,17 +62,7 @@ def insert_copiers(c):
         sinks = rec.sinks
         if len(sinks) < 2:
             return
-        counter = 0
-
-        def fresh():
-            nonlocal counter
-            name = f"{net}__cp{counter}"
-            counter += 1
-            while name in used:
-                name += "_"
-            used.add(name)
-            return name
-
+        fresh = _fresh_names(f"{net}__cp", used)
         if sinks[0] == PO_SINK:
             if rec.source is None:
                 raise UnsupportedError(
@@ -79,7 +70,7 @@ def insert_copiers(c):
                     "feeds gates; this fanout cannot be rewritten without "
                     "renaming a boundary net"
                 )
-            feed = fresh()
+            feed = next(fresh)
             slot = c.gates[rec.source].outputs.index(net)
             renamed_out[(rec.source, slot)] = feed
         else:
@@ -89,8 +80,8 @@ def insert_copiers(c):
         supplies = []
         carry = feed
         for j in range(len(sinks) - 1):
-            first = net if j == 0 and sinks[0] == PO_SINK else fresh()
-            second = fresh()
+            first = net if j == 0 and sinks[0] == PO_SINK else next(fresh)
+            second = next(fresh)
             copiers.append(IrGate(IrGateKind.COPY, (carry,), (first, second)))
             supplies.append(first)
             carry = second

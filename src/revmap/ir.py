@@ -14,6 +14,7 @@ circuit's gate tuple, and diagnostics label position ``i`` as ``g<i>``.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 from .errors import ValidationError
 
@@ -200,6 +201,19 @@ class Violation:
         return f"{self.code}: {self.subject}"
 
 
+def _fresh_names(stem, taken):
+    """Yield stem0, stem1, ... as names not in taken, adding each to taken.
+
+    A name already in taken gets '_' appended until it is free.
+    """
+    for k in count():
+        name = f"{stem}{k}"
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        yield name
+
+
 def _gate_label(index, gate):
     return f"g{index} ({gate.kind.value})"
 
@@ -214,7 +228,7 @@ def validate_circuit(c):
     found = []
 
     def check_name(name):
-        if not name or any(ch.isspace() for ch in name):
+        if not name or name.split() != [name]:
             found.append(Violation("bad-name", repr(name)))
 
     for name in (*c.inputs, *c.outputs):

@@ -14,8 +14,18 @@ controls (t4 and up) are out of the supported set.  The format carries no
 circuit name, so a parsed circuit is named "".
 """
 
+from itertools import count
+
 from .errors import RealFormatError, UnsupportedError
 from .ir import Line, RevCircuit, RevGate
+
+
+def _output_labels(lines):
+    """Each line's .outputs label: its primary output, or g<k> for garbage."""
+    garbage = count()
+    return [
+        f"g{next(garbage)}" if ln.output is None else ln.output for ln in lines
+    ]
 
 
 def write_real(r):
@@ -32,15 +42,7 @@ def write_real(r):
             )
         )
     )
-    labels = []
-    garbage_seen = 0
-    for ln in r.lines:
-        if ln.output is None:
-            labels.append(f"g{garbage_seen}")
-            garbage_seen += 1
-        else:
-            labels.append(ln.output)
-    out.append(" ".join((".outputs", *labels)))
+    out.append(" ".join((".outputs", *_output_labels(r.lines))))
     out.append(
         ".constants "
         + "".join(

@@ -103,3 +103,18 @@ def not_chain_real(length):
         ".version 2.0\n.numvars 1\n.variables a\n.inputs a\n.outputs y\n"
         ".constants -\n.garbage -\n.begin\n" + "t1 a\n" * length + ".end\n"
     )
+
+
+def buffer_chain_blif(length):
+    """`length` buffers in series from a, each also feeding a NOT gate.
+
+    Buffer b<k> copies b<k-1> (b0 copies a) and NOT gate k reads b<k>, so
+    every NOT input is an alias chain that resolves to a.
+    """
+    covers = "".join(
+        f".names {'a' if k == 0 else f'b{k - 1}'} b{k}\n1 1\n"
+        f".names b{k} y{k}\n0 1\n"
+        for k in range(length)
+    )
+    outputs = " ".join(f"y{k}" for k in range(length))
+    return f".model buffers\n.inputs a\n.outputs {outputs}\n{covers}.end\n"

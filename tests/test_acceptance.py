@@ -30,6 +30,7 @@ from revmap import Line, RevCircuit
 from revmap.cli import main
 from samples import (
     HALF_ADDER_BLIF,
+    buffer_chain_blif,
     not_chain_blif,
     not_chain_real,
     pipeline,
@@ -244,3 +245,14 @@ def test_c10_reverse_declared_chain_converts_under_1s(tmp_path):
     assert main(["convert", str(blif), "-o", str(real)]) == 0
     assert time.perf_counter() - start < 1.0
     assert real.read_text() == not_chain_real(3000)
+
+
+def test_c11_buffer_chain_parses_under_1s():
+    # every NOT reads the end of an alias chain; resolving each chain from
+    # its start is quadratic in the chain length
+    text = buffer_chain_blif(10000)
+    start = time.perf_counter()
+    c = parse_blif(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(c.gates) == 10000
+    assert all(g.kind is K.NOT and g.inputs == ("a",) for g in c.gates)

@@ -244,6 +244,50 @@ def test_write_intermediate_golden():
     assert write_intermediate(c) == AND_BLIF
 
 
+EIGHT_KINDS_INTERMEDIATE = """\
+.model kinds
+.inputs a b
+.outputs n y1 y2 y3 y4 y5 y6
+.copy a a0 a1
+.names a0 n
+0 1
+.names a1 b y1
+11 1
+.names a b y2
+00 1
+01 1
+10 1
+.names a b y3
+01 1
+10 1
+11 1
+.names a b y4
+00 1
+.names a b y5
+01 1
+10 1
+.names a b y6
+00 1
+11 1
+.end
+"""
+
+
+def test_write_intermediate_golden_all_kinds():
+    gates = (
+        IrGate(K.COPY, ("a",), ("a0", "a1")),
+        IrGate(K.NOT, ("a0",), ("n",)),
+        IrGate(K.AND, ("a1", "b"), ("y1",)),
+        *(
+            IrGate(kind, ("a", "b"), (f"y{k}",))
+            for k, kind in enumerate((K.NAND, K.OR, K.NOR, K.XOR, K.XNOR), 2)
+        ),
+    )
+    outputs = ("n", "y1", "y2", "y3", "y4", "y5", "y6")
+    c = IrCircuit("kinds", ("a", "b"), outputs, gates)
+    assert write_intermediate(c) == EIGHT_KINDS_INTERMEDIATE
+
+
 def test_round_trip_plain():
     for text in (AND_BLIF, HALF_ADDER_BLIF):
         c = parse_blif(text)

@@ -42,8 +42,9 @@ def test_convert_writes_real_file(half_adder, tmp_path):
     assert out.read_text() == HALF_ADDER_REAL
 
 
-def test_convert_validates_the_circuit_twice(half_adder, tmp_path, monkeypatch):
-    # once before fanout removal, once before slotting
+@pytest.fixture
+def validations(monkeypatch):
+    """The circuits passed to revmap.ir.validate_circuit, in call order."""
     calls = []
     original = revmap.ir.validate_circuit
 
@@ -52,10 +53,28 @@ def test_convert_validates_the_circuit_twice(half_adder, tmp_path, monkeypatch):
         return original(c)
 
     monkeypatch.setattr(revmap.ir, "validate_circuit", counted)
+    return calls
+
+
+def test_convert_validates_the_circuit_twice(half_adder, tmp_path, validations):
+    # once before fanout removal, once before slotting
     out = tmp_path / "ha.real"
     assert main(["convert", str(half_adder), "-o", str(out)]) == 0
     assert out.read_text() == HALF_ADDER_REAL
-    assert len(calls) == 2
+    assert len(validations) == 2
+
+
+def test_verify_validates_the_circuit_once(half_adder, tmp_path, validations):
+    real = tmp_path / "ha.real"
+    real.write_text(HALF_ADDER_REAL)
+    assert main(["verify", str(half_adder), str(real)]) == 0
+    assert len(validations) == 1
+
+
+def test_sim_validates_the_circuit_once(half_adder, capsys, validations):
+    assert main(["sim", str(half_adder), "--input", "11"]) == 0
+    assert capsys.readouterr().out == "s=0 c=1\n"
+    assert len(validations) == 1
 
 
 def test_convert_to_stdout(half_adder, capsys):
@@ -285,6 +304,20 @@ def test_usage_error_is_exit_4(capsys):
     assert capsys.readouterr().err.startswith("error[4]:")
     assert main(["frobnicate"]) == 4
     capsys.readouterr()
+
+
+def test_verify_invalid_source_reaches_no_verdict(tmp_path, capsys):
+    src = tmp_path / "bad.blif"
+    src.write_text(".model bad\n.inputs a\n.outputs z\n.end\n")
+    real = tmp_path / "one.real"
+    real.write_text(
+        ".version 2.0\n.numvars 1\n.variables a\n.inputs a\n.outputs z\n"
+        ".constants -\n.garbage -\n.begin\nt1 a\n.end\n"
+    )
+    assert main(["verify", str(src), str(real)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error[2]: undriven-output: z\n"
+    assert "status=" not in captured.out
 
 
 def test_verify_name_mismatch_is_exit_2(half_adder, tmp_path, capsys):

@@ -84,6 +84,30 @@ def test_whitespace_name_rejected():
     assert any(code == "bad-name" for code, _ in codes(c))
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("", True),
+        (" a", True),
+        ("a b", True),
+        ("a\tb", True),
+        ("a\nb", True),
+        ("a\u00a0b", True),
+        ("\u2003", True),
+        ("a\x1cb", True),
+        (None, True),
+        ("a[3]", False),
+        ("n$1", False),
+        ("\u00fc", False),
+        ("a\u200bb", False),  # zero-width space is not whitespace
+    ],
+)
+def test_name_rule(name, bad):
+    c = circuit((name,), (name,), [])
+    expected = [("bad-name", repr(name))] * 2 if bad else []
+    assert codes(c) == expected
+
+
 def test_check_circuit_raises_with_all_violations():
     c = circuit("ab", "z", [gate(K.AND, "ab", "c"), gate(K.OR, "ab", "c")])
     with pytest.raises(ValidationError) as err:
