@@ -18,8 +18,8 @@ input name everywhere downstream, including in .outputs.
 
 from itertools import product
 
-from .errors import BlifError, UnsupportedError
-from .ir import IrCircuit, IrGate, IrGateKind
+from .errors import BlifError, UnsupportedError, ValidationError
+from .ir import IrCircuit, IrGate, IrGateKind, Violation
 
 _COVER_KINDS = {
     (1, frozenset({"0"})): IrGateKind.NOT,
@@ -36,6 +36,16 @@ _BUFFER = (1, frozenset({"1"}))
 _EMIT_ROWS = {kind: tuple(sorted(onset)) for (_, onset), kind in _COVER_KINDS.items()}
 
 _REJECTED_DIRECTIVES = (".latch", ".subckt", ".gate", ".exdc", ".clock")
+
+# the valid cover patterns of a one- and a two-input .names
+_PATTERNS = {n: frozenset(map("".join, product("01-", repeat=n))) for n in (1, 2)}
+
+# The verdict of classify_cover on each cover spelling classified so far,
+# keyed by (n_inputs, rows).  Only covers of at most four rows are kept,
+# and at most 1104 of those are supported functions, so no input can grow
+# the table past that; a cover that classify_cover rejects is never kept.
+_KNOWN_COVERS = {}
+_UNKNOWN = object()
 
 
 def classify_cover(rows, n_inputs, subject="cover"):
@@ -67,9 +77,21 @@ def classify_cover(rows, n_inputs, subject="cover"):
         ) from None
 
 
+def _tokens(raw):
+    """The tokens of one physical line, without its # comment."""
+    return (raw.split("#", 1)[0] if "#" in raw else raw).split()
+
+
 def _logical_lines(text):
-    """Yield (line_number, tokens) with comments stripped and continuations joined."""
+    """List (line_number, tokens) with comments stripped and continuations joined."""
     raw = text.splitlines()
+    if "\\" not in text:
+        return [
+            (lineno, tokens)
+            for lineno, tokens in enumerate(map(_tokens, raw), start=1)
+            if tokens
+        ]
+    lines = []
     i = 0
     while i < len(raw):
         start = i + 1
@@ -82,7 +104,8 @@ def _logical_lines(text):
         tokens = piece.split()
         i += 1
         if tokens:
-            yield start, tokens
+            lines.append((start, tokens))
+    return lines
 
 
 def _parse(text, allow_copy):
@@ -93,7 +116,7 @@ def _parse(text, allow_copy):
     aliases = {}
     ended = False
 
-    lines = list(_logical_lines(text))
+    lines = _logical_lines(text)
     pos = 0
     while pos < len(lines):
         lineno, tokens = lines[pos]
@@ -165,14 +188,19 @@ def _parse_names(lines, pos, gates, aliases):
         if len(row) != 2:
             raise BlifError("cover row must be '<pattern> <bit>'", row_no)
         pattern, bit = row
-        if len(pattern) != len(ins) or any(ch not in "01-" for ch in pattern):
+        if pattern not in _PATTERNS[len(ins)]:
             raise BlifError(f"bad cover pattern {pattern!r}", row_no)
         if bit not in "01":
             raise BlifError(f"bad cover output bit {bit!r}", row_no)
         rows.append((pattern, bit))
         pos += 1
 
-    kind = classify_cover(rows, len(ins), subject=f"gate '{out}'")
+    key = (len(ins), tuple(rows))
+    kind = _KNOWN_COVERS.get(key, _UNKNOWN)
+    if kind is _UNKNOWN:
+        kind = classify_cover(rows, len(ins), subject=f"gate '{out}'")
+        if len(rows) <= 4:
+            _KNOWN_COVERS[key] = kind
     if kind is None:
         # a gate driving the same net is caught by _resolve_aliases
         if out in aliases:
@@ -208,11 +236,24 @@ def _resolve_aliases(c, aliases):
         for g in c.gates
     )
     outputs = tuple(resolve(n) for n in c.outputs)
+    # A buffer that nothing reads leaves no trace in the circuit, so its
+    # chain is resolved here: a cycle is rejected as above, and an undriven
+    # root is reported as validate_circuit reports a read one.
+    undriven = [root for root in map(resolve, aliases) if root not in driven]
+    if undriven:
+        read = {net for g in gates for net in g.inputs}.union(outputs)
+        for root in undriven:
+            if root not in read:
+                raise ValidationError([Violation("undriven-input", root)])
     return IrCircuit(c.name, c.inputs, outputs, gates)
 
 
 def parse_blif(text):
-    """Parse plain BLIF text into an IrCircuit (no validation)."""
+    """Parse plain BLIF text into an IrCircuit.
+
+    The circuit is not validated, except that a buffer nothing reads must
+    lead to a driven net (ValidationError) without a cycle (BlifError).
+    """
     return _parse(text, allow_copy=False)
 
 

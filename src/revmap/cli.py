@@ -226,10 +226,18 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    # built on the first call, not at import, and reused: argparse keeps no
+    # state between parse_args calls, and building it costs more than
+    # parsing a small circuit
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except RevmapError as exc:
         print(f"error[{exc.exit_code}]: {exc}", file=sys.stderr)

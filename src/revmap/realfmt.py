@@ -16,6 +16,7 @@ circuit name, so a parsed circuit is named "".
 
 from itertools import count
 
+from .blif import _tokens
 from .errors import RealFormatError, UnsupportedError
 from .ir import Line, RevCircuit, RevGate
 
@@ -62,11 +63,8 @@ def write_real(r):
     return "\n".join(out) + "\n"
 
 
-def _tokenized(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, tokens
+# tokens in a well-formed t1/t2/t3 row: the gate, then one name per line
+_ROW_SIZE = {"t1": 2, "t2": 3, "t3": 4}
 
 
 def parse_real(text):
@@ -76,20 +74,14 @@ def parse_real(text):
     outputs = None
     constants = None
     garbage = None
-    gate_rows = []
     in_body = False
-    ended = False
 
-    for lineno, tokens in _tokenized(text):
-        head = tokens[0]
-        if ended:
-            raise RealFormatError("content after .end", lineno)
-        if in_body:
-            if head == ".end":
-                ended = True
-            else:
-                gate_rows.append((lineno, tokens))
+    rows = enumerate(text.splitlines(), start=1)
+    for lineno, raw in rows:
+        tokens = _tokens(raw)
+        if not tokens:
             continue
+        head = tokens[0]
         if head == ".version":
             continue
         if head == ".numvars":
@@ -108,8 +100,41 @@ def parse_real(text):
             garbage = _word(tokens, "1-", lineno)
         elif head == ".begin":
             in_body = True
+            break
         else:
             raise RealFormatError(f"unknown directive {head}", lineno)
+
+    # Each row is parsed as it is read, against the header read so far.  The
+    # first bad row is kept and raised only after the checks below on the
+    # body's end and on the header, which take precedence over it.
+    index_of = {name: i for i, name in enumerate(variables or ())}
+    gates = []
+    bad_gate = None
+    ended = False
+    lookup = index_of.__getitem__
+    for lineno, raw in rows:
+        tokens = _tokens(raw)
+        if not tokens:
+            continue
+        if ended:
+            raise RealFormatError("content after .end", lineno)
+        head = tokens[0]
+        if head == ".end":
+            ended = True
+            continue
+        if bad_gate is not None:
+            continue
+        if _ROW_SIZE.get(head) == len(tokens):
+            try:
+                *controls, target = map(lookup, tokens[1:])
+                gates.append(RevGate(tuple(controls), target))
+                continue
+            except (KeyError, ValueError):
+                pass  # _parse_gate gives the message
+        try:
+            gates.append(_parse_gate(tokens, index_of, lineno))
+        except (RealFormatError, UnsupportedError) as exc:
+            bad_gate = exc
 
     if width is None:
         raise RealFormatError("missing .numvars")
@@ -136,8 +161,10 @@ def parse_real(text):
                 f"inconsistent header: {label} word has length {len(word)} "
                 f"for {width} lines"
             )
-    if len(set(variables)) != width:
+    if len(index_of) != width:
         raise RealFormatError("duplicate names in .variables")
+    if bad_gate is not None:
+        raise bad_gate
 
     lines = []
     for i, name in enumerate(variables):
@@ -147,11 +174,6 @@ def parse_real(text):
         else:
             output = outputs[i] if outputs is not None else name
         lines.append(Line(name, constant=constant, output=output))
-
-    index_of = {name: i for i, name in enumerate(variables)}
-    gates = []
-    for lineno, tokens in gate_rows:
-        gates.append(_parse_gate(tokens, index_of, lineno))
     try:
         return RevCircuit("", tuple(lines), tuple(gates))
     except ValueError as exc:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revmap.blif
 from revmap import (
     BlifError,
     IrCircuit,
     IrGate,
     IrGateKind,
     UnsupportedError,
+    ValidationError,
     classify_cover,
     parse_blif,
     parse_intermediate,
@@ -182,6 +184,59 @@ def test_buffer_alias_cycle_rejected():
     )
     with pytest.raises(BlifError, match="alias cycle"):
         parse_blif(text)
+
+
+def unread_buffer(source):
+    return (
+        ".model m\n.inputs a\n.outputs y\n.names a y\n0 1\n"
+        f".names {source} dead\n1 1\n.end\n"
+    )
+
+
+def test_unread_buffer_from_driven_net_is_dropped():
+    c = parse_blif(unread_buffer("a"))
+    assert c.gates == (IrGate(K.NOT, ("a",), ("y",)),)
+    assert validate_circuit(c) == []
+
+
+def test_unread_buffer_from_undriven_net_is_rejected():
+    # the same violation validate_circuit reports when a gate reads x
+    with pytest.raises(ValidationError) as info:
+        parse_blif(unread_buffer("x"))
+    assert [str(v) for v in info.value.violations] == ["undriven-input: x"]
+
+
+def test_unread_alias_cycle_rejected():
+    text = (
+        ".model m\n.inputs a\n.outputs y\n.names a y\n0 1\n"
+        ".names p q\n1 1\n.names q p\n1 1\n.end\n"
+    )
+    with pytest.raises(BlifError, match="buffer alias cycle involving 'q'"):
+        parse_blif(text)
+
+
+def test_each_short_cover_spelling_is_classified_once(monkeypatch):
+    calls = []
+
+    def counted(rows, n_inputs, subject="cover"):
+        calls.append(tuple(rows))
+        return classify_cover(rows, n_inputs, subject)
+
+    monkeypatch.setattr(revmap.blif, "_KNOWN_COVERS", {})
+    monkeypatch.setattr(revmap.blif, "classify_cover", counted)
+    or_two = "1- 1\n-1 1\n"
+    or_three = "01 1\n10 1\n11 1\n"
+    or_five = or_three + "1- 1\n-1 1\n"
+    body = "".join(
+        f".names a b n{k}\n{rows}"
+        for k, rows in enumerate([or_two, or_three, or_two, or_five, or_five])
+    )
+    text = f".model m\n.inputs a b\n.outputs n0\n{body}.end\n"
+    c = parse_blif(text)
+    assert [g.kind for g in c.gates] == [K.OR] * 5
+    # covers above four rows are classified every time and never kept
+    assert len(calls) == 4
+    assert len(revmap.blif._KNOWN_COVERS) == 2
 
 
 def test_zero_input_names_is_constant_cover():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import revmap.cli
 import revmap.ir
 from revmap.cli import main
 from samples import (
@@ -328,3 +329,181 @@ def test_verify_name_mismatch_is_exit_2(half_adder, tmp_path, capsys):
                      .replace("t2 a b", "t2 a q"))
     assert main(["verify", str(half_adder), str(other)]) == 2
     assert "primary inputs differ" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(half_adder, monkeypatch, capsys):
+    builds = []
+    original = revmap.cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(revmap.cli, "_parser", None)
+    monkeypatch.setattr(revmap.cli, "build_parser", counted)
+    assert main(["slots", str(half_adder)]) == 0
+    assert main(["sim", str(half_adder), "--input", "11"]) == 0
+    assert len(builds) == 1
+
+
+def test_no_option_carries_over_to_the_next_command(tmp_path, capsys):
+    blif = tmp_path / "wide.blif"
+    real = tmp_path / "wide.real"
+    assert main(["gen", "--seed", "5", "--inputs", "14", "--gates", "6",
+                 "-o", str(blif)]) == 0
+    assert main(["convert", str(blif), "-o", str(real), "--trace"]) == 0
+    assert capsys.readouterr().out != ""
+    assert main(["convert", str(blif), "-o", str(real)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["verify", str(blif), str(real), "--samples", "3",
+                 "--seed", "5"]) == 0
+    assert "checked=3 " in capsys.readouterr().out
+    assert main(["verify", str(blif), str(real)]) == 0
+    out = capsys.readouterr().out
+    assert "checked=4096 " in out
+    assert "mode=sampled seed=0" in out
+    assert main(["verify", str(blif)]) == 4
+    assert capsys.readouterr().err.startswith("error[4]:")
+    assert main(["stats", str(real)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("tail, code, err", [
+    # a buffer that nothing reads, from an undriven net, reports the net
+    # exactly as a gate reading it would
+    (".names x dead\n1 1\n", 2, "error[2]: undriven-input: x\n"),
+    (".names x dead\n0 1\n", 2, "error[2]: undriven-input: x\n"),
+    (".names x u\n1 1\n.names u dead\n1 1\n", 2,
+     "error[2]: undriven-input: x\n"),
+    (".names p q\n1 1\n.names q p\n1 1\n", 2,
+     "error[2]: buffer alias cycle involving 'q'\n"),
+    (".names a dead\n1 1\n", 0, ""),
+], ids=[
+    "undriven-buffer",
+    "undriven-not",
+    "undriven-chain",
+    "alias-cycle",
+    "driven-buffer",
+])
+def test_unread_buffer_is_checked(tmp_path, capsys, tail, code, err):
+    src = tmp_path / "dead.blif"
+    src.write_text(".model m\n.inputs a\n.outputs y\n.names a y\n0 1\n"
+                   + tail + ".end\n")
+    assert main(["convert", str(src), "-o", "-"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (captured.out != "") == (code == 0)
+
+
+REAL_HEADER = (
+    ".version 2.0\n.numvars 3\n.variables a b c\n.inputs a b c\n"
+    ".outputs a b c\n.constants ---\n.garbage ---\n.begin\n"
+)
+
+
+# stats output or error line of each .real, as the two-pass parser gave them
+@pytest.mark.parametrize("text, code, line", [
+    (REAL_HEADER + "t2 a b # flip b\nt1 c#x\n.end\n", 0,
+     "lines=3 constants=0 garbage=0 gates=2 quantum_cost=2"),
+    (REAL_HEADER + "\n\nt2 a b\n   \n.end\n\n", 0,
+     "lines=3 constants=0 garbage=0 gates=1 quantum_cost=1"),
+    (REAL_HEADER + "t2 a a\n.end\n", 2,
+     "error[2]: line 9: gate touches a line twice: (0, 0)"),
+    (REAL_HEADER + "t3 a b a\n.end\n", 2,
+     "error[2]: line 9: gate touches a line twice: (0, 1, 0)"),
+    (REAL_HEADER + "t4 a b c a\n.end\n", 3,
+     "error[3]: unsupported gate t4: at most 2 controls"),
+    (REAL_HEADER + "t0\n.end\n", 2, "error[2]: line 9: bad gate size t0"),
+    (REAL_HEADER + "tx a\n.end\n", 2, "error[2]: line 9: unknown gate 'tx'"),
+    (REAL_HEADER + "t3 a b\n.end\n", 2,
+     "error[2]: line 9: t3 takes exactly 3 lines"),
+    (REAL_HEADER + "t1 a b\n.end\n", 2,
+     "error[2]: line 9: t1 takes exactly 1 lines"),
+    (REAL_HEADER + "t2 a zz\n.end\n", 2, "error[2]: line 9: unknown line 'zz'"),
+    (REAL_HEADER + "t1 a\n.end\nt1 b\n", 2,
+     "error[2]: line 11: content after .end"),
+    (REAL_HEADER + ".numvars 3\n.end\n", 2,
+     "error[2]: line 9: unknown gate '.numvars'"),
+    (REAL_HEADER.replace(".outputs a b c", ".outputs a a c") + "t1 a\n.end\n",
+     2, "error[2]: a primary output appears on two lines"),
+    # a bad gate is reported after the body's shape and the header
+    (REAL_HEADER + "t2 a a\n.end\nt1 b\n", 2,
+     "error[2]: line 11: content after .end"),
+    (REAL_HEADER + "t4 a b c a\n", 2, "error[2]: missing .begin/.end body"),
+    (REAL_HEADER.replace(".inputs a b c", ".inputs a b") + "tx\n.end\n", 2,
+     "error[2]: inconsistent header: .inputs lists 2 entries for 3 lines"),
+    (REAL_HEADER.replace(".variables a b c", ".variables a a c")
+     + "t1 a\n.end\n", 2, "error[2]: duplicate names in .variables"),
+    (REAL_HEADER.replace(".variables a b c\n", "") + "t1 a\n.end\n", 2,
+     "error[2]: missing .variables"),
+    # the first bad gate wins
+    (REAL_HEADER + "t1 zz\nt4 a b c a\n.end\n", 2,
+     "error[2]: line 9: unknown line 'zz'"),
+    (REAL_HEADER + "t4 a b c a\nt1 zz\n.end\n", 3,
+     "error[3]: unsupported gate t4: at most 2 controls"),
+], ids=[
+    "comments",
+    "blank-lines",
+    "t2-twice",
+    "t3-twice",
+    "t4",
+    "t0",
+    "tx",
+    "t3-short",
+    "t1-long",
+    "unknown-line",
+    "after-end",
+    "header-in-body",
+    "duplicate-output",
+    "bad-gate-then-after-end",
+    "bad-gate-no-end",
+    "bad-gate-bad-header",
+    "bad-gate-duplicate-variables",
+    "bad-gate-no-variables",
+    "unknown-line-then-t4",
+    "t4-then-unknown-line",
+])
+def test_real_parse_golden(tmp_path, capsys, text, code, line):
+    path = tmp_path / "x.real"
+    path.write_text(text)
+    assert main(["stats", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err) == line + "\n"
+
+
+# error line of each BLIF, as the parser before the one-pass rewrite gave it
+@pytest.mark.parametrize("text, line", [
+    # continuations joined across comments keep the first line's number
+    (".model m # name\n.inputs a \\\n b # tail\n.outputs s\n"
+     ".names a b \\\n  s # out\n01 1 # row\n1x 1\n.end\n",
+     "error[2]: line 8: bad cover pattern '1x'"),
+    (".model m\n.inputs a b # not continued \\\n.outputs s\n"
+     ".names a b s\n11 \\\n1\n.foo\n",
+     "error[2]: line 7: unknown directive .foo"),
+    (".model m\n.inputs a b\n.outputs s\n.names a b s\n01 \\\n# c\n1\n"
+     "10 1 1\n.end\n",
+     "error[2]: line 5: cover row must be '<pattern> <bit>'"),
+    # one cover spelled two ways, then a spelling seen before in a bad block
+    (".model m\n.inputs a b\n.outputs x y\n.names a b x\n1- 1\n-1 1\n"
+     ".names a b y\n01 1\n10 1\n11 1\n.names a y z\n1- 1\n-1 1\n11 0\n"
+     ".end\n",
+     "error[3]: gate 'z': rows with output 0 are not supported"),
+    (".model m\n.inputs a b\n.outputs x y\n.names a b x\n1- 1\n-1 1\n"
+     ".names a b y\n1- 1\n-1 1\n1 1\n.end\n",
+     "error[2]: line 10: bad cover pattern '1'"),
+    (".model m\n.inputs a b\n.outputs x y\n.names a b x\n11 1\n"
+     ".names a b y\n10 1\n.end\n",
+     "error[3]: gate 'y': unrecognized cover with on-set {10}"),
+], ids=[
+    "continuations",
+    "backslash-in-comment",
+    "continued-row",
+    "two-spellings",
+    "two-spellings-bad-row",
+    "good-then-bad-cover",
+])
+def test_blif_parse_golden(tmp_path, capsys, text, line):
+    path = tmp_path / "x.blif"
+    path.write_text(text)
+    assert main(["convert", str(path), "-o", "-"]) == int(line[6])
+    assert capsys.readouterr().err == line + "\n"
