@@ -12,7 +12,7 @@ from .blif import (
     parse_intermediate,
     write_intermediate,
 )
-from .convert import TraceEntry, conversion_trace, convert_circuit
+from .convert import convert_circuit
 from .errors import (
     BlifError,
     FanoutError,
@@ -24,7 +24,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .fanout import fanout_report, insert_copiers
+from .fanout import insert_copiers
 from .ir import (
     PO_SINK,
     IrCircuit,
@@ -36,7 +36,6 @@ from .ir import (
     RevGate,
     Slot,
     SlottedCircuit,
-    Violation,
     build_netlist,
     check_circuit,
     detect_cycles,
@@ -49,7 +48,6 @@ from .realfmt import parse_real, write_real
 from .sim import (
     CircuitStats,
     EquivalenceReport,
-    Witness,
     check_bijectivity,
     check_equivalence,
     eval_ir,
@@ -58,7 +56,7 @@ from .sim import (
     stats,
 )
 from .slotting import slot_circuit
-from .templates import GateTemplate, Role, TemplateGate, template_for
+from .templates import Role, template_for
 
 __version__ = "0.1.0"
 
@@ -68,7 +66,6 @@ __all__ = [
     "EquivalenceReport",
     "FanoutError",
     "FeedbackError",
-    "GateTemplate",
     "IrCircuit",
     "IrGate",
     "IrGateKind",
@@ -83,24 +80,18 @@ __all__ = [
     "Role",
     "Slot",
     "SlottedCircuit",
-    "TemplateGate",
-    "TraceEntry",
     "UnsupportedError",
     "UsageError",
     "ValidationError",
-    "Violation",
-    "Witness",
     "build_netlist",
     "check_bijectivity",
     "check_circuit",
     "check_equivalence",
     "classify_cover",
-    "conversion_trace",
     "convert_circuit",
     "detect_cycles",
     "eval_ir",
     "eval_rev",
-    "fanout_report",
     "gen_random_circuit",
     "insert_copiers",
     "parse_blif",

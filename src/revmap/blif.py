@@ -19,7 +19,7 @@ input name everywhere downstream, including in .outputs.
 from itertools import product
 
 from .errors import BlifError, UnsupportedError, ValidationError
-from .ir import IrCircuit, IrGate, IrGateKind, Violation
+from .ir import IrCircuit, IrGate, IrGateKind, Violation, validate_circuit
 
 _COVER_KINDS = {
     (1, frozenset({"0"})): IrGateKind.NOT,
@@ -235,24 +235,25 @@ def _resolve_aliases(c, aliases):
         IrGate(g.kind, tuple(resolve(n) for n in g.inputs), g.outputs)
         for g in c.gates
     )
-    outputs = tuple(resolve(n) for n in c.outputs)
+    resolved = IrCircuit(c.name, c.inputs, tuple(map(resolve, c.outputs)), gates)
     # A buffer that nothing reads leaves no trace in the circuit, so its
     # chain is resolved here: a cycle is rejected as above, and an undriven
-    # root is reported as validate_circuit reports a read one.
-    undriven = [root for root in map(resolve, aliases) if root not in driven]
-    if undriven:
-        read = {net for g in gates for net in g.inputs}.union(outputs)
-        for root in undriven:
-            if root not in read:
-                raise ValidationError([Violation("undriven-input", root)])
-    return IrCircuit(c.name, c.inputs, outputs, gates)
+    # root is listed after the circuit's violations, as a read one would be.
+    roots = [r for r in dict.fromkeys(map(resolve, aliases)) if r not in driven]
+    if roots:
+        read = {net for g in gates for net in g.inputs}.union(resolved.outputs)
+        lost = [Violation("undriven-input", r) for r in roots if r not in read]
+        if lost:
+            raise ValidationError(validate_circuit(resolved) + lost)
+    return resolved
 
 
 def parse_blif(text):
     """Parse plain BLIF text into an IrCircuit.
 
     The circuit is not validated, except that a buffer nothing reads must
-    lead to a driven net (ValidationError) without a cycle (BlifError).
+    lead to a driven net without a cycle (BlifError); if it does not, the
+    ValidationError lists the circuit's other violations first.
     """
     return _parse(text, allow_copy=False)
 

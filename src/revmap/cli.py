@@ -93,9 +93,16 @@ def cmd_slots(args):
     return 0
 
 
+CAP_CEILING = 24  # no verify walk covers more than 2^24 assignments or states
+
+
 def cmd_verify(args):
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    for flag, cap in (("--max-exhaustive", args.max_exhaustive),
+                      ("--max-bijective", args.max_bijective)):
+        if cap > CAP_CEILING:
+            raise UsageError(f"{flag} must be at most {CAP_CEILING}, got {cap}")
     c = _load_blif(args.circuit)
     r = parse_real(_read(args.real))
     report = check_equivalence(
@@ -196,12 +203,12 @@ def build_parser():
     p.add_argument("circuit", help="the original .blif")
     p.add_argument("real", help="the reversible .real")
     p.add_argument("--max-exhaustive", type=int, default=12, metavar="N",
-                   help="exhaustive up to N primary inputs (default 12)")
+                   help="exhaustive up to N primary inputs (default 12, max 24)")
     p.add_argument("--samples", type=int, default=4096, metavar="N",
                    help="assignments to sample above the cap (default 4096)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--max-bijective", type=int, default=16, metavar="N",
-                   help="skip the bijectivity walk above N lines (default 16)")
+                   help="skip the bijectivity walk above N lines (default 16, max 24)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sim", help="evaluate one input assignment")

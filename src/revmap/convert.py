@@ -43,9 +43,9 @@ def _convert(s, restore_controls):
     lines = [Line(name) for name in c.inputs]
     carrier = list(c.inputs)
     binding_of_net = {name: i for i, name in enumerate(c.inputs)}
-    taken = set(c.inputs) | set(c.outputs)
-    for g in c.gates:
-        taken.update(g.inputs, g.outputs)
+    # every net of a sound circuit is a key of its drivers, and only nets
+    # named x... can clash with the constants' names x0, x1, ...
+    taken = {net for net in c._index.driver if net.startswith("x")}
     constant_names = _fresh_names("x", taken)
     gates = []
     trace = []

@@ -25,9 +25,7 @@ from .ir import (
     IrGate,
     IrGateKind,
     _fresh_names,
-    _net_records,
     build_netlist,
-    detect_cycles,
 )
 
 
@@ -46,11 +44,9 @@ def insert_copiers(c):
 
     Idempotent: running it on its own output changes nothing.
     """
-    cycle = detect_cycles(c)
-    if cycle is not None:
-        raise FeedbackError(cycle)
-    # detect_cycles has validated c
-    records = _net_records(c)
+    records = build_netlist(c)
+    if c._index.cycle is not None:
+        raise FeedbackError(c._index.cycle)
     used = set(records)
     new_inputs = [list(g.inputs) for g in c.gates]
     renamed_out = {}

@@ -10,17 +10,23 @@ value to another.
 
 Gates carry no explicit id: a gate is identified by its position in the
 circuit's gate tuple, and diagnostics label position ``i`` as ``g<i>``.
+
+Every graph question about an IrCircuit (is it sound, which gate drives a
+net, in what order can gates fire, where is a loop) is answered from one
+_NetIndex, built on first use and memoized on the circuit as its _index.
+The memo is sound because an IrCircuit holds only tuples and strings, so
+nothing the index was built from can change; validate_circuit,
+check_circuit, detect_cycles and build_netlist are views of it.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import count
 
 from .errors import ValidationError
 
 PO_SINK = "PO"
-
-_UNSET = object()
 
 
 class IrGateKind(Enum):
@@ -64,6 +70,10 @@ class IrCircuit:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     gates: tuple[IrGate, ...] = ()
+
+    @cached_property
+    def _index(self):
+        return _NetIndex(self)
 
 
 @dataclass(frozen=True)
@@ -214,10 +224,6 @@ def _fresh_names(stem, taken):
         yield name
 
 
-def _gate_label(index, gate):
-    return f"g{index} ({gate.kind.value})"
-
-
 def validate_circuit(c):
     """Check structural invariants; return a list of violations (empty if ok).
 
@@ -225,47 +231,7 @@ def validate_circuit(c):
     outputs are duplicate-free, gate arities match their kind, every net
     has exactly one driver, and every referenced net is driven.
     """
-    found = []
-
-    def check_name(name):
-        if not name or name.split() != [name]:
-            found.append(Violation("bad-name", repr(name)))
-
-    for name in (*c.inputs, *c.outputs):
-        check_name(name)
-    for seq in (c.inputs, c.outputs):
-        seen = set()
-        for name in seq:
-            if name in seen:
-                found.append(Violation("duplicate-name", name))
-            seen.add(name)
-
-    drivers = {}
-    for name in dict.fromkeys(c.inputs):
-        drivers[name] = None
-    for i, g in enumerate(c.gates):
-        for name in (*g.inputs, *g.outputs):
-            check_name(name)
-        if len(g.inputs) != g.kind.n_inputs or len(g.outputs) != g.kind.n_outputs:
-            found.append(Violation("bad-arity", _gate_label(i, g)))
-        seen = set()
-        for name in g.outputs:
-            if name in seen:
-                found.append(Violation("duplicate-name", name))
-            seen.add(name)
-            if name in drivers:
-                found.append(Violation("multiple-drivers", name))
-            else:
-                drivers[name] = i
-
-    for name in c.outputs:
-        if name not in drivers:
-            found.append(Violation("undriven-output", name))
-    for i, g in enumerate(c.gates):
-        for name in g.inputs:
-            if name not in drivers:
-                found.append(Violation("undriven-input", name))
-    return found
+    return list(c._index.violations)
 
 
 def check_circuit(c):
@@ -283,31 +249,16 @@ def build_netlist(c):
     circuit must validate.
     """
     check_circuit(c)
-    return _net_records(c)
-
-
-def _net_records(c):
-    """build_netlist without the validation; c must already validate."""
-    table = {}
-
-    def touch(net):
-        if net not in table:
-            table[net] = [_UNSET, []]
-        return table[net]
-
-    for net in c.inputs:
-        table[net] = [None, []]
+    sinks = {net: [] for net in c.inputs}
     for net in c.outputs:
-        touch(net)[1].append(PO_SINK)
+        sinks.setdefault(net, []).append(PO_SINK)
     for i, g in enumerate(c.gates):
         for pin, net in enumerate(g.inputs):
-            touch(net)[1].append((i, pin))
+            sinks.setdefault(net, []).append((i, pin))
         for net in g.outputs:
-            touch(net)[0] = i
-    return {
-        net: NetRecord(net, source, tuple(sinks))
-        for net, (source, sinks) in table.items()
-    }
+            sinks.setdefault(net, [])
+    driver = c._index.driver
+    return {net: NetRecord(net, driver[net], tuple(s)) for net, s in sinks.items()}
 
 
 def detect_cycles(c):
@@ -320,41 +271,91 @@ def detect_cycles(c):
     gate's first visit, in the order walked.
     """
     check_circuit(c)
-    return _gate_order(c)[2]
+    cycle = c._index.cycle
+    return None if cycle is None else list(cycle)
 
 
-def _gate_order(c):
-    """Kahn's pass over the gate graph of a circuit that validates.
+class _NetIndex:
+    """The answers to every graph question about one IrCircuit.
 
-    Returns (order, level, cycle): the gates that can be placed, each after
-    its drivers; per gate, if placed, its ASAP level (1 + the highest level
-    of its drivers, 1 if it reads only primary inputs); and detect_cycles'
-    witness, or None when every gate is placed.
+    violations is validate_circuit's list as a tuple.  driver maps each
+    driven net to its gate's position, None for a primary input.  Only if
+    the circuit validates does one Kahn pass set order (the gates that can
+    be placed, each after its drivers), level (per placed gate, 1 + the
+    highest level of its drivers, 1 if it reads only primary inputs) and
+    cycle (detect_cycles' witness as a tuple, None if every gate is placed).
     """
-    driver = {net: i for i, g in enumerate(c.gates) for net in g.outputs}
-    drivers = [
-        [driver[net] for net in g.inputs if net in driver] for g in c.gates
-    ]
-    pending = [len(ds) for ds in drivers]
-    readers = [[] for _ in c.gates]
-    for i, ds in enumerate(drivers):
-        for d in ds:
-            readers[d].append(i)
-    level = [1] * len(c.gates)
-    order = [i for i, n in enumerate(pending) if n == 0]
-    for i in order:
-        for j in readers[i]:
-            level[j] = max(level[j], level[i] + 1)
-            pending[j] -= 1
-            if pending[j] == 0:
-                order.append(j)
-    if len(order) == len(c.gates):
-        return order, level, None
-    # every unplaced gate has an unplaced driver, so the walk must repeat
-    unplaced = [n > 0 for n in pending]
-    walked = {}  # gate -> step of the walk, in walk order
-    node = unplaced.index(True)
-    while node not in walked:
-        walked[node] = len(walked)
-        node = next(d for d in drivers[node] if unplaced[d])
-    return order, level, list(walked)[walked[node]:]
+
+    def __init__(self, c):
+        found = []
+
+        def check_name(name):
+            if not name or name.split() != [name]:
+                found.append(Violation("bad-name", repr(name)))
+
+        for name in (*c.inputs, *c.outputs):
+            check_name(name)
+        for seq in (c.inputs, c.outputs):
+            seen = set()
+            for name in seq:
+                if name in seen:
+                    found.append(Violation("duplicate-name", name))
+                seen.add(name)
+
+        driver = dict.fromkeys(c.inputs)
+        for i, g in enumerate(c.gates):
+            for name in (*g.inputs, *g.outputs):
+                check_name(name)
+            if len(g.inputs) != g.kind.n_inputs or len(g.outputs) != g.kind.n_outputs:
+                found.append(Violation("bad-arity", f"g{i} ({g.kind.value})"))
+            seen = set()
+            for name in g.outputs:
+                if name in seen:
+                    found.append(Violation("duplicate-name", name))
+                seen.add(name)
+                if name in driver:
+                    found.append(Violation("multiple-drivers", name))
+                else:
+                    driver[name] = i
+
+        for name in c.outputs:
+            if name not in driver:
+                found.append(Violation("undriven-output", name))
+        drivers = []  # per gate, the gates driving its inputs, in pin order
+        for g in c.gates:
+            ds = []
+            for name in g.inputs:
+                if name not in driver:
+                    found.append(Violation("undriven-input", name))
+                elif driver[name] is not None:
+                    ds.append(driver[name])
+            drivers.append(ds)
+        self.violations = tuple(found)
+        self.driver = driver
+        self.order = self.level = self.cycle = None
+        if found:
+            return
+        pending = [len(ds) for ds in drivers]
+        readers = [[] for _ in drivers]
+        for i, ds in enumerate(drivers):
+            for d in ds:
+                readers[d].append(i)
+        level = [1] * len(drivers)
+        order = [i for i, n in enumerate(pending) if n == 0]
+        for i in order:
+            for j in readers[i]:
+                level[j] = max(level[j], level[i] + 1)
+                pending[j] -= 1
+                if pending[j] == 0:
+                    order.append(j)
+        self.order, self.level = order, level
+        if len(order) == len(drivers):
+            return
+        # every unplaced gate has an unplaced driver, so the walk must repeat
+        unplaced = [n > 0 for n in pending]
+        walked = {}  # gate -> step of the walk, in walk order
+        node = unplaced.index(True)
+        while node not in walked:
+            walked[node] = len(walked)
+            node = next(d for d in drivers[node] if unplaced[d])
+        self.cycle = tuple(walked)[walked[node]:]

@@ -21,7 +21,6 @@ from .ir import (
     IrGate,
     IrGateKind,
     RevCircuit,
-    _gate_order,
     check_circuit,
 )
 
@@ -53,12 +52,12 @@ def eval_ir(c, assignment, word_width=1):
     if missing:
         raise ValueError(f"assignment misses inputs: {missing}")
     check_circuit(c)
-    order, _, cycle = _gate_order(c)
-    if cycle is not None:
-        raise FeedbackError(cycle)
+    index = c._index
+    if index.cycle is not None:
+        raise FeedbackError(index.cycle)
     mask = (1 << word_width) - 1
     values = {name: assignment[name] & mask for name in c.inputs}
-    for i in order:
+    for i in index.order:
         g = c.gates[i]
         ins = [values[name] for name in g.inputs]
         if g.kind is IrGateKind.COPY:

@@ -14,33 +14,37 @@ outputs) are left out; slot 0 still lists every primary input.  The last
 slot therefore lists exactly the primary outputs.
 """
 
+from itertools import chain
+
 from .errors import FanoutError, UnsupportedError
-from .ir import Slot, SlottedCircuit, _gate_order, build_netlist
+from .ir import Slot, SlottedCircuit, build_netlist, detect_cycles
 
 
 def slot_circuit(c):
-    records = build_netlist(c)
-    for net, rec in records.items():
-        if len(rec.sinks) > 1:
-            raise FanoutError(
-                f"net '{net}' has {len(rec.sinks)} sinks; "
-                "run fanout preprocessing first"
-            )
-
-    order, level, cycle = _gate_order(c)
+    cycle = detect_cycles(c)
+    # one entry per sink: the primary outputs, then every gate input
+    reads = [*c.outputs, *chain.from_iterable(g.inputs for g in c.gates)]
+    wanted = set(reads)
+    if len(wanted) < len(reads):
+        # name the first net with two sinks, in build_netlist's order
+        rec = next(r for r in build_netlist(c).values() if len(r.sinks) > 1)
+        raise FanoutError(
+            f"net '{rec.net}' has {len(rec.sinks)} sinks; "
+            "run fanout preprocessing first"
+        )
     if cycle is not None:
-        placed = set(order)
+        placed = set(c._index.order)
         left = ", ".join(f"g{i}" for i in range(len(c.gates)) if i not in placed)
         raise UnsupportedError(
             f"slotting made no progress; unplaced gates: {left}"
         )
+    level = c._index.level
     waves = [[] for _ in range(max(level, default=0))]
     for i, k in enumerate(level):
         waves[k - 1].append(i)
 
-    # fanout-free, so a net with a sink is a primary output or is read by
-    # exactly one gate, and it stays available until that gate fires
-    wanted = {net for net, rec in records.items() if rec.sinks}
+    # fanout-free, so a wanted net is read exactly once, and it stays
+    # available until that read
     working = [net for net in c.inputs if net in wanted]
     slots = [Slot((), tuple(c.inputs))]
     for wave in waves:

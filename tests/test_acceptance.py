@@ -14,7 +14,6 @@ from revmap import (
     check_equivalence,
     convert_circuit,
     eval_ir,
-    fanout_report,
     gen_random_circuit,
     insert_copiers,
     parse_blif,
@@ -28,6 +27,7 @@ from revmap import (
 )
 from revmap import Line, RevCircuit
 from revmap.cli import main
+from revmap.fanout import fanout_report
 from samples import (
     HALF_ADDER_BLIF,
     buffer_chain_blif,

@@ -206,6 +206,19 @@ def test_unread_buffer_from_undriven_net_is_rejected():
     assert [str(v) for v in info.value.violations] == ["undriven-input: x"]
 
 
+def test_unread_buffer_from_undriven_net_follows_other_violations():
+    text = (
+        ".model m\n.inputs a\n.outputs y z\n.names a y\n0 1\n"
+        ".names x dead\n1 1\n.names x also\n1 1\n.end\n"
+    )
+    with pytest.raises(ValidationError) as info:
+        parse_blif(text)
+    assert [str(v) for v in info.value.violations] == [
+        "undriven-output: z",
+        "undriven-input: x",
+    ]
+
+
 def test_unread_alias_cycle_rejected():
     text = (
         ".model m\n.inputs a\n.outputs y\n.names a y\n0 1\n"

@@ -186,6 +186,28 @@ def test_verify_without_samples_is_exit_4(tmp_path, capsys, samples):
     assert err == f"error[4]: --samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("flag", ["--max-exhaustive", "--max-bijective"])
+@pytest.mark.parametrize("value", ["25", "1000000"])
+def test_verify_cap_above_ceiling_is_exit_4(half_adder, tmp_path, capsys,
+                                            flag, value):
+    # rejected before either file is read: the .real does not exist
+    missing = tmp_path / "missing.real"
+    assert main(["verify", str(half_adder), str(missing), flag, value]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[4]: {flag} must be at most 24, got {value}\n"
+
+
+@pytest.mark.parametrize("flag", ["--max-exhaustive", "--max-bijective"])
+def test_verify_cap_at_ceiling_is_accepted(half_adder, tmp_path, capsys, flag):
+    real = tmp_path / "ha.real"
+    real.write_text(HALF_ADDER_REAL)
+    assert main(["verify", str(half_adder), str(real), flag, "24"]) == 0
+    out = capsys.readouterr().out
+    assert "status=Equivalent checked=4" in out
+    assert "bijectivity=ok states=32" in out
+
+
 def test_deep_chain_declared_output_first(tmp_path, capsys):
     blif = tmp_path / "chain.blif"
     real = tmp_path / "chain.real"
@@ -393,6 +415,23 @@ def test_unread_buffer_is_checked(tmp_path, capsys, tail, code, err):
     captured = capsys.readouterr()
     assert captured.err == err
     assert (captured.out != "") == (code == 0)
+
+
+@pytest.mark.parametrize("cover", ["1 1", "0 1"], ids=["buffer", "not"])
+@pytest.mark.parametrize("extra, err", [
+    ("", "error[2]: undriven-output: z; undriven-input: x\n"),
+    (".names w v\n0 1\n",
+     "error[2]: undriven-output: z; undriven-input: w; undriven-input: x\n"),
+], ids=["undriven-output", "undriven-gate-input"])
+def test_unread_buffer_does_not_hide_other_faults(tmp_path, capsys, cover,
+                                                  extra, err):
+    # an unread buffer from an undriven net is listed after the file's
+    # other violations, in the line a NOT gate in its place gives
+    src = tmp_path / "dead.blif"
+    src.write_text(".model m\n.inputs a\n.outputs y z\n.names a y\n0 1\n"
+                   + extra + f".names x dead\n{cover}\n.end\n")
+    assert main(["convert", str(src), "-o", "-"]) == 2
+    assert capsys.readouterr().err == err
 
 
 REAL_HEADER = (

@@ -11,12 +11,12 @@ from revmap import (
     Slot,
     SlottedCircuit,
     check_equivalence,
-    conversion_trace,
     convert_circuit,
     insert_copiers,
     slot_circuit,
     template_for,
 )
+from revmap.convert import conversion_trace
 from samples import AND_BLIF, HALF_ADDER_BLIF, pipeline, single_gate_blif
 
 K = IrGateKind

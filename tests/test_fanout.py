@@ -11,11 +11,11 @@ from revmap import (
     UnsupportedError,
     build_netlist,
     eval_ir,
-    fanout_report,
     gen_random_circuit,
     insert_copiers,
     parse_blif,
 )
+from revmap.fanout import fanout_report
 from samples import HALF_ADDER_BLIF
 
 K = IrGateKind

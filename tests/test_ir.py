@@ -220,6 +220,24 @@ def test_detect_cycles_reports_first_of_two_disjoint_loops():
     assert detect_cycles(c) == [1, 3]
 
 
+def test_memoized_index_leaves_the_value_alone():
+    # validate_circuit and detect_cycles answer from an index memoized on
+    # the circuit; it takes no part in equality, hashing or repr, and
+    # callers get copies they may change
+    loop = circuit("a", "p", [gate(K.XOR, ("a", "p"), "p"), gate(K.NOT, "b", "c")])
+    twin = circuit("a", "p", [gate(K.XOR, ("a", "p"), "p"), gate(K.NOT, "b", "c")])
+    found = validate_circuit(loop)
+    assert [str(v) for v in found] == ["undriven-input: b"]
+    found.clear()
+    assert validate_circuit(loop) != []
+    assert loop == twin and hash(loop) == hash(twin) and repr(loop) == repr(twin)
+    c = circuit("a", "p", [gate(K.XOR, ("a", "p"), "p")])
+    cycle = detect_cycles(c)
+    cycle.append(5)
+    assert detect_cycles(c) == [0]
+    assert c == circuit("a", "p", [gate(K.XOR, ("a", "p"), "p")])
+
+
 def test_rev_gate_rejects_repeated_lines():
     with pytest.raises(ValueError):
         t3(0, 0, 1)
