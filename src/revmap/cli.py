@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .blif import parse_intermediate, write_intermediate
-from .convert import _convert, convert_circuit
+from .convert import conversion_trace, convert_circuit
 from .errors import RevmapError, UsageError
 from .fanout import insert_copiers
 from .realfmt import _output_labels, parse_real, write_real
@@ -63,15 +63,11 @@ def _prepare(path):
 def cmd_convert(args):
     slotted = slot_circuit(_prepare(args.circuit))
     restore = not args.no_restore_controls
+    _write(args.output, write_real(convert_circuit(slotted, restore)))
     if args.trace:
-        rev, trace = _convert(slotted, restore)
-    else:
-        # the public name, so that profilers wrapping the API see this call
-        rev, trace = convert_circuit(slotted, restore_controls=restore), ()
-    _write(args.output, write_real(rev))
-    for e in trace:
-        added = ",".join(map(str, e.new_lines)) or "-"
-        print(f"slot={e.slot} gate=g{e.gate} kind={e.kind.name} lines={added}")
+        for e in conversion_trace(slotted, restore):
+            added = ",".join(map(str, e.new_lines)) or "-"
+            print(f"slot={e.slot} gate=g{e.gate} kind={e.kind.name} lines={added}")
     return 0
 
 

@@ -8,12 +8,17 @@ gate's template reads its input bindings, may allocate an ancilla, and
 rebinds its output nets.  When the last slot has fired, the line carrying
 each primary output net gets that output name and every other line is
 garbage.
+
+Because ancillas are numbered after the primary inputs in the order the
+slots allocate them, the lines each gate adds follow from the slot table
+and the templates' constants alone: conversion_trace derives them without
+running a conversion.
 """
 
 from dataclasses import dataclass, replace
 
 from .ir import IrGateKind, Line, RevCircuit, RevGate, _fresh_names
-from .templates import Role, template_for
+from .templates import template_for
 
 
 @dataclass(frozen=True)
@@ -28,55 +33,39 @@ class TraceEntry:
 
 def convert_circuit(s, restore_controls=True):
     """Convert a slotted fanout-free circuit into a reversible one."""
-    rev, _ = _convert(s, restore_controls)
-    return rev
-
-
-def conversion_trace(s, restore_controls=True):
-    """Return the TraceEntry sequence that reproduces convert_circuit(s)."""
-    _, trace = _convert(s, restore_controls)
-    return trace
-
-
-def _convert(s, restore_controls):
     c = s.circuit
     lines = [Line(name) for name in c.inputs]
     carrier = list(c.inputs)
-    binding_of_net = {name: i for i, name in enumerate(c.inputs)}
+    line_of_net = {name: i for i, name in enumerate(c.inputs)}
     # every net of a sound circuit is a key of its drivers, and only nets
     # named x... can clash with the constants' names x0, x1, ...
     taken = {net for net in c._index.driver if net.startswith("x")}
     constant_names = _fresh_names("x", taken)
     gates = []
-    trace = []
 
-    for slot_no, slot in enumerate(s.slots[1:], start=1):
+    for slot in s.slots[1:]:
         for gi in slot.gates:
             gate = c.gates[gi]
             tpl = template_for(gate.kind, restore_controls)
-            bind = {Role.IN1: binding_of_net[gate.inputs[0]]}
-            if len(gate.inputs) == 2:
-                bind[Role.IN2] = binding_of_net[gate.inputs[1]]
-                if bind[Role.IN2] == bind[Role.IN1]:
-                    raise RuntimeError(
-                        f"gate g{gi} reads one line twice; "
-                        "the circuit was not fanout-preprocessed"
-                    )
-            added = []
+            # indexed by Role: IN1, IN2 (IN1 again for a one-input gate)
+            # and ANC, the line a constant would be allocated on
+            ins = gate.inputs
+            bind = [line_of_net[ins[0]], line_of_net[ins[-1]], len(lines)]
+            if len(ins) == 2 and bind[0] == bind[1]:
+                raise RuntimeError(
+                    f"gate g{gi} reads one line twice; "
+                    "the circuit was not fanout-preprocessed"
+                )
             for bit in tpl.constants:
-                index = len(lines)
                 lines.append(Line(next(constant_names), constant=bit))
                 carrier.append(None)
-                bind[Role.ANC] = index
-                added.append(index)
             for tg in tpl.gates:
                 gates.append(
-                    RevGate(tuple(bind[r] for r in tg.controls), bind[tg.target])
+                    RevGate(tuple([bind[r] for r in tg.controls]), bind[tg.target])
                 )
             for role, net in zip(tpl.outputs, gate.outputs):
-                binding_of_net[net] = bind[role]
+                line_of_net[net] = bind[role]
                 carrier[bind[role]] = net
-            trace.append(TraceEntry(slot_no, gi, gate.kind, tuple(added)))
 
     outputs = set(c.outputs)
     final = tuple(
@@ -86,4 +75,19 @@ def _convert(s, restore_controls):
     missing = outputs - {ln.output for ln in final}
     if missing:
         raise RuntimeError(f"primary outputs left unbound: {sorted(missing)}")
-    return RevCircuit(c.name, final, tuple(gates)), tuple(trace)
+    return RevCircuit(c.name, final, tuple(gates))
+
+
+def conversion_trace(s, restore_controls=True):
+    """Return the TraceEntry sequence that reproduces convert_circuit(s)."""
+    c = s.circuit
+    trace = []
+    next_line = len(c.inputs)
+    for slot_no, slot in enumerate(s.slots[1:], start=1):
+        for gi in slot.gates:
+            kind = c.gates[gi].kind
+            added = len(template_for(kind, restore_controls).constants)
+            new_lines = tuple(range(next_line, next_line + added))
+            trace.append(TraceEntry(slot_no, gi, kind, new_lines))
+            next_line += added
+    return tuple(trace)

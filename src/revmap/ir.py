@@ -14,9 +14,10 @@ circuit's gate tuple, and diagnostics label position ``i`` as ``g<i>``.
 Every graph question about an IrCircuit (is it sound, which gate drives a
 net, in what order can gates fire, where is a loop) is answered from one
 _NetIndex, built on first use and memoized on the circuit as its _index.
-The memo is sound because an IrCircuit holds only tuples and strings, so
-nothing the index was built from can change; validate_circuit,
-check_circuit, detect_cycles and build_netlist are views of it.
+The memo is sound because IrCircuit and IrGate turn their sequence
+fields into tuples when built, so nothing the index was built from can
+change; validate_circuit, check_circuit, detect_cycles and build_netlist
+are views of it.
 """
 
 from dataclasses import dataclass, field
@@ -61,6 +62,10 @@ class IrGate:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+
 
 @dataclass(frozen=True)
 class IrCircuit:
@@ -70,6 +75,10 @@ class IrCircuit:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     gates: tuple[IrGate, ...] = ()
+
+    def __post_init__(self):
+        for name in ("inputs", "outputs", "gates"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @cached_property
     def _index(self):

@@ -63,8 +63,8 @@ def write_real(r):
     return "\n".join(out) + "\n"
 
 
-# tokens in a well-formed t1/t2/t3 row: the gate, then one name per line
-_ROW_SIZE = {"t1": 2, "t2": 3, "t3": 4}
+# lines touched by each supported gate; _gate_size judges any other head
+_GATE_SIZE = {"t1": 1, "t2": 2, "t3": 3}
 
 
 def parse_real(text):
@@ -85,7 +85,7 @@ def parse_real(text):
         if head == ".version":
             continue
         if head == ".numvars":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _is_number(tokens[1]):
                 raise RealFormatError(".numvars takes one number", lineno)
             width = int(tokens[1])
         elif head == ".variables":
@@ -124,17 +124,18 @@ def parse_real(text):
             continue
         if bad_gate is not None:
             continue
-        if _ROW_SIZE.get(head) == len(tokens):
-            try:
-                *controls, target = map(lookup, tokens[1:])
-                gates.append(RevGate(tuple(controls), target))
-                continue
-            except (KeyError, ValueError):
-                pass  # _parse_gate gives the message
         try:
-            gates.append(_parse_gate(tokens, index_of, lineno))
+            n = _GATE_SIZE.get(head) or _gate_size(head, lineno)
+            if len(tokens) != n + 1:
+                raise RealFormatError(f"t{n} takes exactly {n} lines", lineno)
+            *controls, target = map(lookup, tokens[1:])
+            gates.append(RevGate(tuple(controls), target))
         except (RealFormatError, UnsupportedError) as exc:
             bad_gate = exc
+        except KeyError as exc:
+            bad_gate = RealFormatError(f"unknown line {exc.args[0]!r}", lineno)
+        except ValueError as exc:
+            bad_gate = RealFormatError(str(exc), lineno)
 
     if width is None:
         raise RealFormatError("missing .numvars")
@@ -188,22 +189,18 @@ def _word(tokens, alphabet, lineno):
     return tokens[1]
 
 
-def _parse_gate(tokens, index_of, lineno):
-    head = tokens[0]
-    if not head.startswith("t") or not head[1:].isdigit():
+def _is_number(text):
+    # str.isdigit alone also accepts digits such as '²' and '٢'
+    return text.isascii() and text.isdigit()
+
+
+def _gate_size(head, lineno):
+    """Lines touched by a gate row whose head is not t1, t2 or t3."""
+    if head[:1] != "t" or not _is_number(head[1:]):
         raise RealFormatError(f"unknown gate {head!r}", lineno)
     n = int(head[1:])
     if n > 3:
         raise UnsupportedError(f"unsupported gate t{n}: at most 2 controls")
     if n < 1:
         raise RealFormatError(f"bad gate size t{n}", lineno)
-    if len(tokens) != n + 1:
-        raise RealFormatError(f"t{n} takes exactly {n} lines", lineno)
-    try:
-        touched = [index_of[name] for name in tokens[1:]]
-    except KeyError as exc:
-        raise RealFormatError(f"unknown line {exc.args[0]!r}", lineno) from None
-    try:
-        return RevGate(tuple(touched[:-1]), touched[-1])
-    except ValueError as exc:
-        raise RealFormatError(str(exc), lineno) from None
+    return n  # a spelling such as t01

@@ -5,19 +5,21 @@ NOT/CNOT/Toffoli gates: which constant lines it needs, which role carries
 each of its results afterwards, and which roles are left over as garbage.
 Roles bind to concrete lines at conversion time: IN1/IN2 to the lines
 currently holding the gate's input nets, ANC to a freshly added constant
-line.
+line.  A role is a position in that binding (IN1 = 0, IN2 = 1, ANC = 2),
+so the converter binds a gate's lines in one list and indexes it with the
+roles the tables hold.
 """
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 from .ir import IrGateKind
 
 
-class Role(Enum):
-    IN1 = "in1"
-    IN2 = "in2"
-    ANC = "anc"
+class Role(IntEnum):
+    IN1 = 0
+    IN2 = 1
+    ANC = 2
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class GateTemplate:
     whether those lines end with their original input values.
     """
 
-    kind: IrGateKind
     constants: tuple[int, ...]
     gates: tuple[TemplateGate, ...]
     outputs: tuple[Role, ...]
@@ -51,51 +52,39 @@ def _g(*roles):
     return TemplateGate(tuple(roles[:-1]), roles[-1])
 
 
+# the Toffoli onto the constant line at the heart of AND, NAND, OR and NOR
+_TOFFOLI = (_g(_IN1, _IN2, _ANC),)
+
 _PLAIN = {
-    IrGateKind.NOT: GateTemplate(
-        IrGateKind.NOT, (), (_g(_IN1),), (_IN1,), (), True
-    ),
-    IrGateKind.AND: GateTemplate(
-        IrGateKind.AND, (0,), (_g(_IN1, _IN2, _ANC),), (_ANC,), (_IN1, _IN2), True
-    ),
-    IrGateKind.NAND: GateTemplate(
-        IrGateKind.NAND, (1,), (_g(_IN1, _IN2, _ANC),), (_ANC,), (_IN1, _IN2), True
-    ),
-    IrGateKind.XOR: GateTemplate(
-        IrGateKind.XOR, (), (_g(_IN1, _IN2),), (_IN2,), (_IN1,), True
-    ),
+    IrGateKind.NOT: GateTemplate((), (_g(_IN1),), (_IN1,), (), True),
+    IrGateKind.AND: GateTemplate((0,), _TOFFOLI, (_ANC,), (_IN1, _IN2), True),
+    IrGateKind.NAND: GateTemplate((1,), _TOFFOLI, (_ANC,), (_IN1, _IN2), True),
+    IrGateKind.XOR: GateTemplate((), (_g(_IN1, _IN2),), (_IN2,), (_IN1,), True),
     IrGateKind.XNOR: GateTemplate(
-        IrGateKind.XNOR, (), (_g(_IN1, _IN2), _g(_IN2)), (_IN2,), (_IN1,), True
+        (), (_g(_IN1, _IN2), _g(_IN2)), (_IN2,), (_IN1,), True
     ),
-    IrGateKind.COPY: GateTemplate(
-        IrGateKind.COPY, (0,), (_g(_IN1, _ANC),), (_IN1, _ANC), (), True
-    ),
+    IrGateKind.COPY: GateTemplate((0,), (_g(_IN1, _ANC),), (_IN1, _ANC), (), True),
 }
 
 # OR and NOR invert both inputs around a Toffoli onto a constant line; the
 # restoring variant undoes the input inversions afterwards so the garbage
 # lines leave with their original values.
 _INVERT_IN = (_g(_IN1), _g(_IN2))
-_OR_CORE = (_g(_IN1, _IN2, _ANC),)
 
 _RESTORING = dict(_PLAIN)
 _RESTORING[IrGateKind.OR] = GateTemplate(
-    IrGateKind.OR, (1,), _INVERT_IN + _OR_CORE + _INVERT_IN,
-    (_ANC,), (_IN1, _IN2), True,
+    (1,), _INVERT_IN + _TOFFOLI + _INVERT_IN, (_ANC,), (_IN1, _IN2), True
 )
 _RESTORING[IrGateKind.NOR] = GateTemplate(
-    IrGateKind.NOR, (0,), _INVERT_IN + _OR_CORE + _INVERT_IN,
-    (_ANC,), (_IN1, _IN2), True,
+    (0,), _INVERT_IN + _TOFFOLI + _INVERT_IN, (_ANC,), (_IN1, _IN2), True
 )
 
 _BARE = dict(_PLAIN)
 _BARE[IrGateKind.OR] = GateTemplate(
-    IrGateKind.OR, (1,), _INVERT_IN + _OR_CORE,
-    (_ANC,), (_IN1, _IN2), False,
+    (1,), _INVERT_IN + _TOFFOLI, (_ANC,), (_IN1, _IN2), False
 )
 _BARE[IrGateKind.NOR] = GateTemplate(
-    IrGateKind.NOR, (0,), _INVERT_IN + _OR_CORE,
-    (_ANC,), (_IN1, _IN2), False,
+    (0,), _INVERT_IN + _TOFFOLI, (_ANC,), (_IN1, _IN2), False
 )
 
 

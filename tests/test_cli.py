@@ -3,6 +3,7 @@
 import pytest
 
 import revmap.cli
+import revmap.convert
 import revmap.ir
 from revmap.cli import main
 from samples import (
@@ -93,6 +94,19 @@ def test_convert_trace_lines(half_adder, tmp_path, capsys):
         "slot=2 gate=g2 kind=XOR lines=-",
         "slot=2 gate=g3 kind=AND lines=4",
     ]
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace"]])
+def test_convert_runs_the_public_converter_once(half_adder, monkeypatch, capsys, flags):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return revmap.convert.convert_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(revmap.cli, "convert_circuit", counted)
+    assert main(["convert", str(half_adder), "-o", "-", *flags]) == 0
+    assert len(calls) == 1
 
 
 def test_convert_reads_stdin(tmp_path, capsys, monkeypatch):
@@ -480,6 +494,18 @@ REAL_HEADER = (
      "error[2]: line 9: unknown line 'zz'"),
     (REAL_HEADER + "t4 a b c a\nt1 zz\n.end\n", 3,
      "error[3]: unsupported gate t4: at most 2 controls"),
+    # numbers are ASCII digits: other digits are a bad gate or .numvars
+    (REAL_HEADER + "t\u00b2 a\n.end\n", 2,
+     "error[2]: line 9: unknown gate 't\u00b2'"),
+    (REAL_HEADER + "t\u0661 a\n.end\n", 2,
+     "error[2]: line 9: unknown gate 't\u0661'"),
+    (REAL_HEADER.replace(".numvars 3", ".numvars \u00b2") + "t1 a\n.end\n", 2,
+     "error[2]: line 2: .numvars takes one number"),
+    (REAL_HEADER.replace(".numvars 3", ".numvars \u0663") + "t1 a\n.end\n", 2,
+     "error[2]: line 2: .numvars takes one number"),
+    (REAL_HEADER.replace(".variables a b c", ".variables a b")
+     + "t\u00b2 a\n.end\n", 2,
+     "error[2]: inconsistent header: .variables lists 2 entries for 3 lines"),
 ], ids=[
     "comments",
     "blank-lines",
@@ -501,6 +527,11 @@ REAL_HEADER = (
     "bad-gate-no-variables",
     "unknown-line-then-t4",
     "t4-then-unknown-line",
+    "superscript-gate",
+    "arabic-indic-gate",
+    "superscript-numvars",
+    "arabic-indic-numvars",
+    "superscript-gate-bad-header",
 ])
 def test_real_parse_golden(tmp_path, capsys, text, code, line):
     path = tmp_path / "x.real"

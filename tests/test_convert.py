@@ -12,6 +12,7 @@ from revmap import (
     SlottedCircuit,
     check_equivalence,
     convert_circuit,
+    gen_random_circuit,
     insert_copiers,
     slot_circuit,
     template_for,
@@ -108,15 +109,23 @@ def test_half_adder_frozen():
 
 
 def test_trace_replay_matches_converter():
-    for text in (AND_BLIF, HALF_ADDER_BLIF, single_gate_blif(K.XNOR),
-                 single_gate_blif(K.NOR)):
-        _, slotted = pipeline(text)
-        rev = convert_circuit(slotted)
-        trace = conversion_trace(slotted)
-        gates, binding = replay(slotted, trace)
-        assert tuple(gates) == rev.gates
-        for name in slotted.circuit.outputs:
-            assert rev.lines[binding[name]].output == name
+    # the trace is derived without converting, so replaying it must rebuild
+    # the converter's gates and output lines exactly
+    slotted = [pipeline(text)[1] for text in (
+        AND_BLIF, HALF_ADDER_BLIF, single_gate_blif(K.XNOR), single_gate_blif(K.NOR)
+    )]
+    slotted += [
+        slot_circuit(insert_copiers(gen_random_circuit(seed, 1 + seed % 6, 3 * seed)))
+        for seed in range(50)
+    ]
+    for s in slotted:
+        for restore in (True, False):
+            rev = convert_circuit(s, restore)
+            trace = conversion_trace(s, restore)
+            gates, binding = replay(s, trace, restore)
+            assert tuple(gates) == rev.gates
+            for name in s.circuit.outputs:
+                assert rev.lines[binding[name]].output == name
 
 
 def test_no_restore_variant_still_equivalent():

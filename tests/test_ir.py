@@ -15,6 +15,7 @@ from revmap import (
     build_netlist,
     check_circuit,
     detect_cycles,
+    eval_ir,
     t1,
     t2,
     t3,
@@ -236,6 +237,30 @@ def test_memoized_index_leaves_the_value_alone():
     cycle.append(5)
     assert detect_cycles(c) == [0]
     assert c == circuit("a", "p", [gate(K.XOR, ("a", "p"), "p")])
+
+
+def test_list_built_circuit_is_frozen():
+    # lists given for a circuit's fields are copied into tuples, so a later
+    # change to the list neither reaches the circuit nor its memoized index
+    gates = [IrGate(K.NOT, ("a",), ("y",))]
+    c = IrCircuit("m", ["a"], ["y"], gates)
+    assert validate_circuit(c) == []
+    gates[0] = IrGate(K.NOT, ("zz",), ("y",))
+    assert c.gates == (IrGate(K.NOT, ("a",), ("y",)),)
+    assert (c.inputs, c.outputs) == (("a",), ("y",))
+    assert eval_ir(c, {"a": 1}) == {"y": 0}
+    assert hash(c) == hash(circuit("a", "y", [gate(K.NOT, "a", "y")], name="m"))
+
+
+def test_list_built_gate_is_frozen():
+    ins, outs = ["a"], ["y"]
+    g = IrGate(K.NOT, ins, outs)
+    c = circuit("a", "y", [g])
+    assert validate_circuit(c) == []
+    ins[0], outs[0] = "q", "z"
+    assert (g.inputs, g.outputs) == (("a",), ("y",))
+    assert eval_ir(c, {"a": 0}) == {"y": 1}
+    assert hash(g) == hash(IrGate(K.NOT, ("a",), ("y",)))
 
 
 def test_rev_gate_rejects_repeated_lines():

@@ -3,8 +3,10 @@
 The benchmark's tracer wraps only the functions listed in revmap.__all__
 (and cli.main) and names each layer <module>.<function>, so renaming,
 moving or unlisting a traced function would silently drop its metrics.
+Modules also share only a fixed, short list of private names.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -39,3 +41,29 @@ def test_traced_layer_is_a_public_function(layer):
     if layer != "cli.main":
         assert func in revmap.__all__
         assert getattr(revmap, func) is fn
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "revmap"
+
+
+def private_imports():
+    """(importing module, imported module, name) for each private import."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update(
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    return found
+
+
+def test_modules_share_only_these_private_names():
+    assert private_imports() == {
+        ("fanout", "ir", "_fresh_names"),
+        ("convert", "ir", "_fresh_names"),
+        ("realfmt", "blif", "_tokens"),
+        ("cli", "realfmt", "_output_labels"),
+    }
