@@ -86,9 +86,10 @@ def _logical_lines(text):
     """List (line_number, tokens) with comments stripped and continuations joined."""
     raw = text.splitlines()
     if "\\" not in text:
+        split = _tokens if "#" in text else str.split
         return [
             (lineno, tokens)
-            for lineno, tokens in enumerate(map(_tokens, raw), start=1)
+            for lineno, tokens in enumerate(map(split, raw), start=1)
             if tokens
         ]
     lines = []
@@ -125,10 +126,11 @@ def _parse(text, allow_copy):
             if head == ".model":
                 raise BlifError("only one .model block is supported", lineno)
             raise BlifError("content after .end", lineno)
-        if not head.startswith("."):
+        if head == ".names":  # the most frequent directive, tested first
+            pos = _parse_names(lines, pos, gates, aliases)
+        elif not head.startswith("."):
             raise BlifError(f"expected a directive, got {head!r}", lineno)
-
-        if head == ".model":
+        elif head == ".model":
             if model is not None:
                 raise BlifError("only one .model block is supported", lineno)
             if len(tokens) != 2:
@@ -141,8 +143,6 @@ def _parse(text, allow_copy):
         elif head == ".outputs":
             outputs.extend(tokens[1:])
             pos += 1
-        elif head == ".names":
-            pos = _parse_names(lines, pos, gates, aliases)
         elif head == ".copy":
             if not allow_copy:
                 raise BlifError(
@@ -168,29 +168,32 @@ def _parse(text, allow_copy):
 
 def _parse_names(lines, pos, gates, aliases):
     lineno, tokens = lines[pos]
-    nets = tokens[1:]
-    if len(nets) < 2:
-        if len(nets) == 1:
+    if len(tokens) < 3:
+        if len(tokens) == 2:
             raise UnsupportedError(
-                f"constant cover for '{nets[0]}': .names needs at least one input"
+                f"constant cover for '{tokens[1]}': .names needs at least one input"
             )
         raise BlifError(".names needs nets", lineno)
-    *ins, out = nets
+    ins, out = tuple(tokens[1:-1]), tokens[-1]
     if len(ins) > 2:
         raise UnsupportedError(
             f"gate '{out}' has {len(ins)} inputs; at most 2 are supported"
         )
 
+    patterns = _PATTERNS[len(ins)]
     rows = []
+    end = len(lines)
     pos += 1
-    while pos < len(lines) and not lines[pos][1][0].startswith("."):
+    while pos < end:
         row_no, row = lines[pos]
+        if row[0].startswith("."):
+            break
         if len(row) != 2:
             raise BlifError("cover row must be '<pattern> <bit>'", row_no)
         pattern, bit = row
-        if pattern not in _PATTERNS[len(ins)]:
+        if pattern not in patterns:
             raise BlifError(f"bad cover pattern {pattern!r}", row_no)
-        if bit not in "01":
+        if bit != "1" and bit != "0":
             raise BlifError(f"bad cover output bit {bit!r}", row_no)
         rows.append((pattern, bit))
         pos += 1
@@ -207,7 +210,7 @@ def _parse_names(lines, pos, gates, aliases):
             raise BlifError(f"multiple drivers for net '{out}'", lineno)
         aliases[out] = ins[0]
     else:
-        gates.append(IrGate(kind, tuple(ins), (out,)))
+        gates.append(IrGate(kind, ins, (out,)))
     return pos
 
 
@@ -231,8 +234,10 @@ def _resolve_aliases(c, aliases):
             aliases[alias] = name
         return name
 
+    # only a gate that reads an alias is rebuilt
     gates = tuple(
-        IrGate(g.kind, tuple(resolve(n) for n in g.inputs), g.outputs)
+        IrGate(g.kind, tuple(map(resolve, g.inputs)), g.outputs)
+        if not aliases.keys().isdisjoint(g.inputs) else g
         for g in c.gates
     )
     resolved = IrCircuit(c.name, c.inputs, tuple(map(resolve, c.outputs)), gates)

@@ -162,6 +162,10 @@ def cmd_stats(args):
 
 
 def cmd_gen(args):
+    if args.inputs < 1:
+        raise UsageError(f"--inputs must be at least 1, got {args.inputs}")
+    if args.gates < 0:
+        raise UsageError(f"--gates must be at least 0, got {args.gates}")
     c = gen_random_circuit(args.seed, args.inputs, args.gates)
     _write(args.output, write_intermediate(c))
     return 0

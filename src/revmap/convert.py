@@ -15,7 +15,8 @@ and the templates' constants alone: conversion_trace derives them without
 running a conversion.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 
 from .ir import IrGateKind, Line, RevCircuit, RevGate, _fresh_names
 from .templates import template_for
@@ -34,45 +35,59 @@ class TraceEntry:
 def convert_circuit(s, restore_controls=True):
     """Convert a slotted fanout-free circuit into a reversible one."""
     c = s.circuit
-    lines = [Line(name) for name in c.inputs]
+    # per line: its constant bit (None on a primary input) and the net it
+    # carries; the constants' names are drawn once all lines are known
+    constants = [None] * len(c.inputs)
     carrier = list(c.inputs)
     line_of_net = {name: i for i, name in enumerate(c.inputs)}
-    # every net of a sound circuit is a key of its drivers, and only nets
-    # named x... can clash with the constants' names x0, x1, ...
-    taken = {net for net in c._index.driver if net.startswith("x")}
-    constant_names = _fresh_names("x", taken)
     gates = []
+    append = gates.append
+    # kind -> its template, the template's gates as (controls, target)
+    # pairs, and one carrier entry per constant line it adds
+    plans = {}
 
     for slot in s.slots[1:]:
         for gi in slot.gates:
             gate = c.gates[gi]
-            tpl = template_for(gate.kind, restore_controls)
+            plan = plans.get(gate.kind)
+            if plan is None:
+                tpl = template_for(gate.kind, restore_controls)
+                ops = tuple((tg.controls, tg.target) for tg in tpl.gates)
+                plan = plans[gate.kind] = (tpl, ops, (None,) * len(tpl.constants))
+            tpl, ops, pad = plan
             # indexed by Role: IN1, IN2 (IN1 again for a one-input gate)
             # and ANC, the line a constant would be allocated on
             ins = gate.inputs
-            bind = [line_of_net[ins[0]], line_of_net[ins[-1]], len(lines)]
+            bind = [line_of_net[ins[0]], line_of_net[ins[-1]], len(carrier)]
             if len(ins) == 2 and bind[0] == bind[1]:
                 raise RuntimeError(
                     f"gate g{gi} reads one line twice; "
                     "the circuit was not fanout-preprocessed"
                 )
-            for bit in tpl.constants:
-                lines.append(Line(next(constant_names), constant=bit))
-                carrier.append(None)
-            for tg in tpl.gates:
-                gates.append(
-                    RevGate(tuple([bind[r] for r in tg.controls]), bind[tg.target])
-                )
+            constants += tpl.constants
+            carrier += pad
+            for controls, target in ops:
+                if not controls:
+                    append(RevGate((), bind[target]))
+                elif len(controls) == 1:
+                    append(RevGate((bind[controls[0]],), bind[target]))
+                else:
+                    a, b = controls
+                    append(RevGate((bind[a], bind[b]), bind[target]))
             for role, net in zip(tpl.outputs, gate.outputs):
                 line_of_net[net] = bind[role]
                 carrier[bind[role]] = net
 
+    # every net of a sound circuit is a key of its drivers, and only nets
+    # named x... can clash with the constants' names x0, x1, ...
+    taken = {net for net in c._index.driver if net.startswith("x")}
+    added = len(carrier) - len(c.inputs)
+    names = [*c.inputs, *islice(_fresh_names("x", taken), added)]
     outputs = set(c.outputs)
     final = tuple(
-        replace(ln, output=carrier[i]) if carrier[i] in outputs else ln
-        for i, ln in enumerate(lines)
+        map(Line, names, constants, [n if n in outputs else None for n in carrier])
     )
-    missing = outputs - {ln.output for ln in final}
+    missing = outputs.difference(carrier)
     if missing:
         raise RuntimeError(f"primary outputs left unbound: {sorted(missing)}")
     return RevCircuit(c.name, final, tuple(gates))

@@ -16,7 +16,7 @@ Copier chains sit immediately after the driving gate, or before all gates
 for nets driven by primary inputs.
 """
 
-from collections import defaultdict
+from itertools import chain
 
 from .errors import FeedbackError, UnsupportedError
 from .ir import (
@@ -47,63 +47,70 @@ def insert_copiers(c):
     records = build_netlist(c)
     if c._index.cycle is not None:
         raise FeedbackError(c._index.cycle)
+    gates = c.gates
     used = set(records)
-    new_inputs = [list(g.inputs) for g in c.gates]
-    renamed_out = {}
+    new_inputs = [None] * len(gates)  # per gate, its inputs if a copier feeds it
+    renamed_out = {}  # position -> {output net: the fresh net it drives}
     lead = []
-    trailing = defaultdict(list)
+    trailing = [None] * len(gates)  # per gate, the copiers placed after it
 
-    def rewrite(net):
-        rec = records[net]
+    def rewrite(net, rec):
         sinks = rec.sinks
-        if len(sinks) < 2:
-            return
+        source = rec.source
         fresh = _fresh_names(f"{net}__cp", used)
-        if sinks[0] == PO_SINK:
-            if rec.source is None:
+        to_po = sinks[0] == PO_SINK
+        if to_po:
+            if source is None:
                 raise UnsupportedError(
                     f"primary input '{net}' is listed in .outputs and also "
                     "feeds gates; this fanout cannot be rewritten without "
                     "renaming a boundary net"
                 )
-            feed = next(fresh)
-            slot = c.gates[rec.source].outputs.index(net)
-            renamed_out[(rec.source, slot)] = feed
+            carry = next(fresh)
+            renamed_out.setdefault(source, {})[net] = carry
         else:
-            feed = net
+            carry = net
+        if source is None:
+            copiers = lead
+        else:
+            if trailing[source] is None:
+                trailing[source] = []
+            copiers = trailing[source]
 
-        copiers = []
-        supplies = []
-        carry = feed
-        for j in range(len(sinks) - 1):
-            first = net if j == 0 and sinks[0] == PO_SINK else next(fresh)
-            second = next(fresh)
-            copiers.append(IrGate(IrGateKind.COPY, (carry,), (first, second)))
-            supplies.append(first)
-            carry = second
-        supplies.append(carry)
-
-        for sink, supply in zip(sinks, supplies):
+        # copier j feeds sink j from its first output and the rest of the
+        # chain from its second; the last sink takes the chain's end
+        for j, sink in enumerate(sinks):
+            if j < len(sinks) - 1:
+                first = net if j == 0 and to_po else next(fresh)
+                second = next(fresh)
+                copiers.append(IrGate(IrGateKind.COPY, (carry,), (first, second)))
+                supply, carry = first, second
+            else:
+                supply = carry
             if sink == PO_SINK:
                 continue
             gate, pin = sink
-            new_inputs[gate][pin] = supply
-        if rec.source is None:
-            lead.extend(copiers)
-        else:
-            trailing[rec.source].extend(copiers)
+            ins = new_inputs[gate]
+            if ins is None:
+                ins = new_inputs[gate] = list(gates[gate].inputs)
+            ins[pin] = supply
 
-    for net in c.inputs:
-        rewrite(net)
-    for g in c.gates:
-        for net in g.outputs:
-            rewrite(net)
+    for net in chain(c.inputs, *(g.outputs for g in gates)):
+        rec = records[net]
+        if len(rec.sinks) > 1:
+            rewrite(net, rec)
 
+    # a gate that no copier feeds or renames is kept as it is
     out_gates = lead
-    for i, g in enumerate(c.gates):
-        outs = tuple(
-            renamed_out.get((i, k), net) for k, net in enumerate(g.outputs)
-        )
-        out_gates.append(IrGate(g.kind, tuple(new_inputs[i]), outs))
-        out_gates.extend(trailing.get(i, ()))
+    for i, g in enumerate(gates):
+        ins = new_inputs[i]
+        renames = renamed_out.get(i)
+        if ins is not None or renames is not None:
+            outs = g.outputs
+            if renames is not None:
+                outs = tuple(renames.get(net, net) for net in outs)
+            g = IrGate(g.kind, g.inputs if ins is None else tuple(ins), outs)
+        out_gates.append(g)
+        if trailing[i] is not None:
+            out_gates += trailing[i]
     return IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates))

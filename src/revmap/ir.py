@@ -23,7 +23,8 @@ are views of it.
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import count
+from itertools import chain, count
+from operator import attrgetter
 
 from .errors import ValidationError
 
@@ -47,24 +48,24 @@ class IrGateKind(Enum):
     XNOR = "xnor"
     COPY = "copy"
 
-    @property
-    def n_inputs(self):
-        return 1 if self in (IrGateKind.NOT, IrGateKind.COPY) else 2
-
-    @property
-    def n_outputs(self):
-        return 2 if self is IrGateKind.COPY else 1
+    def __init__(self, value):
+        # each member's arity, stored on it once: a plain attribute read
+        # costs a fraction of a property call or a dict lookup by member
+        self.n_inputs = 1 if value in ("not", "copy") else 2
+        self.n_outputs = 2 if value == "copy" else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrGate:
     kind: IrGateKind
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        if type(self.inputs) is not tuple:
+            object.__setattr__(self, "inputs", tuple(self.inputs))
+        if type(self.outputs) is not tuple:
+            object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,16 @@ class IrCircuit:
 
     def __post_init__(self):
         for name in ("inputs", "outputs", "gates"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not tuple:
+                object.__setattr__(self, name, tuple(value))
 
     @cached_property
     def _index(self):
         return _NetIndex(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetRecord:
     """Driver and consumers of one net.
 
@@ -99,7 +102,7 @@ class NetRecord:
     sinks: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """One level of the slotted circuit.
 
@@ -117,7 +120,7 @@ class SlottedCircuit:
     slots: tuple[Slot, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevGate:
     """A generalized Toffoli gate with 0, 1 or 2 controls.
 
@@ -129,13 +132,31 @@ class RevGate:
     target: int
 
     def __post_init__(self):
-        touched = (*self.controls, self.target)
-        if len(set(touched)) != len(touched):
-            raise ValueError(f"gate touches a line twice: {touched}")
-        if len(self.controls) > 2:
+        # three rules, reported in this order: no line twice, at most two
+        # controls, no negative line; NOT, CNOT and Toffoli are checked
+        # without building the tuple of touched lines
+        controls, target = self.controls, self.target
+        n = len(controls)
+        if n == 0:
+            if target < 0:
+                raise ValueError("negative line index")
+        elif n == 1:
+            (a,) = controls
+            if a == target:
+                raise ValueError(f"gate touches a line twice: {(a, target)}")
+            if a < 0 or target < 0:
+                raise ValueError("negative line index")
+        elif n == 2:
+            a, b = controls
+            if a == b or a == target or b == target:
+                raise ValueError(f"gate touches a line twice: {(a, b, target)}")
+            if a < 0 or b < 0 or target < 0:
+                raise ValueError("negative line index")
+        else:
+            touched = (*controls, target)
+            if len(set(touched)) != len(touched):
+                raise ValueError(f"gate touches a line twice: {touched}")
             raise ValueError("at most two controls are supported")
-        if min(touched) < 0:
-            raise ValueError("negative line index")
 
 
 def t1(target):
@@ -150,7 +171,7 @@ def t3(control_a, control_b, target):
     return RevGate((control_a, control_b), target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     """One line of a reversible circuit.
 
@@ -178,15 +199,22 @@ class RevCircuit:
 
     def __post_init__(self):
         width = len(self.lines)
-        names = [ln.name for ln in self.lines]
-        if len(set(names)) != width:
+        if len(set(map(attrgetter("name"), self.lines))) != width:
             raise ValueError("line names are not unique")
         pos = [ln.output for ln in self.lines if ln.output is not None]
         if len(set(pos)) != len(pos):
             raise ValueError("a primary output appears on two lines")
-        for g in self.gates:
-            if max((*g.controls, g.target)) >= width:
-                raise ValueError(f"gate {g} exceeds line count {width}")
+        # the highest line any gate touches, found without a loop in Python;
+        # only if it is out of range are the gates walked for the first one
+        gates = self.gates
+        top = max(
+            max(map(attrgetter("target"), gates), default=-1),
+            max(chain.from_iterable(map(attrgetter("controls"), gates)), default=-1),
+        )
+        if top >= width:
+            for g in gates:
+                if g.target >= width or any(i >= width for i in g.controls):
+                    raise ValueError(f"gate {g} exceeds line count {width}")
 
     @property
     def width(self):
@@ -261,11 +289,17 @@ def build_netlist(c):
     sinks = {net: [] for net in c.inputs}
     for net in c.outputs:
         sinks.setdefault(net, []).append(PO_SINK)
+    get = sinks.get
     for i, g in enumerate(c.gates):
         for pin, net in enumerate(g.inputs):
-            sinks.setdefault(net, []).append((i, pin))
+            found = get(net)
+            if found is None:
+                sinks[net] = [(i, pin)]
+            else:
+                found.append((i, pin))
         for net in g.outputs:
-            sinks.setdefault(net, [])
+            if net not in sinks:
+                sinks[net] = []
     driver = c._index.driver
     return {net: NetRecord(net, driver[net], tuple(s)) for net, s in sinks.items()}
 
@@ -297,13 +331,17 @@ class _NetIndex:
 
     def __init__(self, c):
         found = []
+        sound = set()  # names found sound so far; a bad name never joins
 
         def check_name(name):
             if not name or name.split() != [name]:
                 found.append(Violation("bad-name", repr(name)))
+            else:
+                sound.add(name)
 
         for name in (*c.inputs, *c.outputs):
-            check_name(name)
+            if name not in sound:
+                check_name(name)
         for seq in (c.inputs, c.outputs):
             seen = set()
             for name in seq:
@@ -313,15 +351,20 @@ class _NetIndex:
 
         driver = dict.fromkeys(c.inputs)
         for i, g in enumerate(c.gates):
-            for name in (*g.inputs, *g.outputs):
-                check_name(name)
-            if len(g.inputs) != g.kind.n_inputs or len(g.outputs) != g.kind.n_outputs:
-                found.append(Violation("bad-arity", f"g{i} ({g.kind.value})"))
-            seen = set()
-            for name in g.outputs:
+            ins, outs, kind = g.inputs, g.outputs, g.kind
+            for name in ins:
+                if name not in sound:
+                    check_name(name)
+            for name in outs:
+                if name not in sound:
+                    check_name(name)
+            if len(ins) != kind.n_inputs or len(outs) != kind.n_outputs:
+                found.append(Violation("bad-arity", f"g{i} ({kind.value})"))
+            seen = ()  # a gate has one or two outputs: a tuple beats a set
+            for name in outs:
                 if name in seen:
                     found.append(Violation("duplicate-name", name))
-                seen.add(name)
+                seen = (*seen, name)
                 if name in driver:
                     found.append(Violation("multiple-drivers", name))
                 else:
@@ -330,35 +373,37 @@ class _NetIndex:
         for name in c.outputs:
             if name not in driver:
                 found.append(Violation("undriven-output", name))
-        drivers = []  # per gate, the gates driving its inputs, in pin order
-        for g in c.gates:
-            ds = []
+        gates = c.gates
+        pending = []  # per gate, how many of its inputs other gates drive
+        readers = [[] for _ in gates]  # per gate, the gates reading it
+        get = driver.get
+        for i, g in enumerate(gates):
+            n = 0
             for name in g.inputs:
-                if name not in driver:
+                d = get(name, found)  # found: a sentinel no position equals
+                if d is found:
                     found.append(Violation("undriven-input", name))
-                elif driver[name] is not None:
-                    ds.append(driver[name])
-            drivers.append(ds)
+                elif d is not None:
+                    readers[d].append(i)
+                    n += 1
+            pending.append(n)
         self.violations = tuple(found)
         self.driver = driver
         self.order = self.level = self.cycle = None
         if found:
             return
-        pending = [len(ds) for ds in drivers]
-        readers = [[] for _ in drivers]
-        for i, ds in enumerate(drivers):
-            for d in ds:
-                readers[d].append(i)
-        level = [1] * len(drivers)
+        level = [1] * len(gates)
         order = [i for i, n in enumerate(pending) if n == 0]
         for i in order:
+            above = level[i] + 1
             for j in readers[i]:
-                level[j] = max(level[j], level[i] + 1)
+                if level[j] < above:
+                    level[j] = above
                 pending[j] -= 1
                 if pending[j] == 0:
                     order.append(j)
         self.order, self.level = order, level
-        if len(order) == len(drivers):
+        if len(order) == len(gates):
             return
         # every unplaced gate has an unplaced driver, so the walk must repeat
         unplaced = [n > 0 for n in pending]
@@ -366,5 +411,8 @@ class _NetIndex:
         node = unplaced.index(True)
         while node not in walked:
             walked[node] = len(walked)
-            node = next(d for d in drivers[node] if unplaced[d])
+            node = next(
+                d for d in map(driver.get, gates[node].inputs)
+                if d is not None and unplaced[d]
+            )
         self.cycle = tuple(walked)[walked[node]:]

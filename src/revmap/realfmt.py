@@ -54,11 +54,16 @@ def write_real(r):
         ".garbage " + "".join("1" if ln.output is None else "-" for ln in r.lines)
     )
     out.append(".begin")
+    names = [ln.name for ln in r.lines]
     for g in r.gates:
-        touched = (*g.controls, g.target)
-        out.append(
-            f"t{len(touched)} " + " ".join(r.lines[i].name for i in touched)
-        )
+        controls = g.controls
+        if not controls:
+            out.append(f"t1 {names[g.target]}")
+        elif len(controls) == 1:
+            out.append(f"t2 {names[controls[0]]} {names[g.target]}")
+        else:
+            a, b = controls
+            out.append(f"t3 {names[a]} {names[b]} {names[g.target]}")
     out.append(".end")
     return "\n".join(out) + "\n"
 

@@ -200,6 +200,23 @@ def test_verify_without_samples_is_exit_4(tmp_path, capsys, samples):
     assert err == f"error[4]: --samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("flag, value, floor", [
+    ("--inputs", "0", 1),
+    ("--inputs", "-3", 1),
+    ("--gates", "-1", 0),
+])
+def test_gen_bad_size_is_exit_4(tmp_path, capsys, flag, value, floor):
+    sizes = {"--inputs": "2", "--gates": "3", flag: value}
+    out_file = tmp_path / "g.blif"
+    argv = ["gen", "--seed", "1", *(x for kv in sizes.items() for x in kv),
+            "-o", str(out_file)]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[4]: {flag} must be at least {floor}, got {value}\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("flag", ["--max-exhaustive", "--max-bijective"])
 @pytest.mark.parametrize("value", ["25", "1000000"])
 def test_verify_cap_above_ceiling_is_exit_4(half_adder, tmp_path, capsys,
@@ -564,6 +581,9 @@ def test_real_parse_golden(tmp_path, capsys, text, code, line):
     (".model m\n.inputs a b\n.outputs x y\n.names a b x\n11 1\n"
      ".names a b y\n10 1\n.end\n",
      "error[3]: gate 'y': unrecognized cover with on-set {10}"),
+    # the output bit is one character; '01' is not a bit
+    (".model m\n.inputs a b\n.outputs c\n.names a b c\n11 01\n.end\n",
+     "error[2]: line 5: bad cover output bit '01'"),
 ], ids=[
     "continuations",
     "backslash-in-comment",
@@ -571,6 +591,7 @@ def test_real_parse_golden(tmp_path, capsys, text, code, line):
     "two-spellings",
     "two-spellings-bad-row",
     "good-then-bad-cover",
+    "two-char-output-bit",
 ])
 def test_blif_parse_golden(tmp_path, capsys, text, line):
     path = tmp_path / "x.blif"

@@ -14,6 +14,8 @@ from revmap import (
     gen_random_circuit,
     insert_copiers,
     parse_blif,
+    parse_intermediate,
+    write_intermediate,
 )
 from revmap.fanout import fanout_report
 from samples import HALF_ADDER_BLIF
@@ -115,6 +117,42 @@ def test_primary_output_keeps_its_name():
     assert p.gates[1] == IrGate(K.COPY, ("n__cp0",), ("n", "n__cp1"))
     assert p.gates[2] == IrGate(K.NOT, ("n__cp1",), ("y",))
     assert all(len(r.sinks) == 1 for r in build_netlist(p).values())
+    assert_same_function(c, p)
+
+
+def test_gates_no_copier_touches_are_kept():
+    # only a gate that a copier feeds, or whose output it renames, is built
+    # anew; every other gate of the result is the input's own object
+    c = gen_random_circuit(4, 5, 60)
+    fanned = {net for net, rec in build_netlist(c).items() if len(rec.sinks) > 1}
+    renamed = fanned.intersection(c.outputs)
+    p = insert_copiers(c)
+    kept = {id(g) for g in p.gates}
+    touched = [not fanned.isdisjoint(g.inputs) or not renamed.isdisjoint(g.outputs)
+               for g in c.gates]
+    assert any(touched) and not all(touched)
+    for g, rebuilt in zip(c.gates, touched):
+        assert (id(g) in kept) is not rebuilt
+    assert_same_function(c, p)
+
+
+def test_both_outputs_of_a_copy_fan_out():
+    # a gate with two fanned-out outputs is followed by both chains, in
+    # output order; x is also a primary output, so its driver is renamed
+    text = (
+        ".model m\n.inputs a b\n.outputs x p q r s\n.copy a x y\n"
+        ".names x b p\n11 1\n.names y b q\n01 1\n10 1\n"
+        ".names y r\n0 1\n.names b s\n0 1\n.end\n"
+    )
+    c = parse_intermediate(text)
+    p = insert_copiers(c)
+    assert write_intermediate(p) == (
+        ".model m\n.inputs a b\n.outputs x p q r s\n"
+        ".copy b b__cp0 b__cp1\n.copy b__cp1 b__cp2 b__cp3\n"
+        ".copy a x__cp0 y\n.copy x__cp0 x x__cp1\n.copy y y__cp0 y__cp1\n"
+        ".names x__cp1 b__cp0 p\n11 1\n.names y__cp0 b__cp2 q\n01 1\n10 1\n"
+        ".names y__cp1 r\n0 1\n.names b__cp3 s\n0 1\n.end\n"
+    )
     assert_same_function(c, p)
 
 

@@ -1,5 +1,7 @@
 """Structural checks: validation, net records, cycle detection, rev types."""
 
+from collections import namedtuple
+
 import pytest
 
 from revmap import (
@@ -263,11 +265,64 @@ def test_list_built_gate_is_frozen():
     assert hash(g) == hash(IrGate(K.NOT, ("a",), ("y",)))
 
 
+def test_tuple_fields_are_kept_as_given():
+    # a field that already is a tuple is not copied; any other sequence,
+    # a tuple subclass included, becomes a plain tuple
+    Pair = namedtuple("Pair", "x y")
+    ins, outs = ("a", "b"), Pair("y", "z")
+    g = IrGate(K.COPY, ins, outs)
+    assert g.inputs is ins
+    assert type(g.outputs) is tuple and g.outputs == ("y", "z")
+    gates = (g,)
+    c = IrCircuit("m", ins, ["y"], gates)
+    assert c.inputs is ins and c.gates is gates and c.outputs == ("y",)
+
+
 def test_rev_gate_rejects_repeated_lines():
     with pytest.raises(ValueError):
         t3(0, 0, 1)
     with pytest.raises(ValueError):
         t2(2, 2)
+
+
+@pytest.mark.parametrize("controls, target, message", [
+    # a repeated line is reported before too many controls
+    ((0, 0, 1), 2, "gate touches a line twice: (0, 0, 1, 2)"),
+    ((1, 2), 1, "gate touches a line twice: (1, 2, 1)"),
+    ((1,), 1, "gate touches a line twice: (1, 1)"),
+    ((-1, -1), 0, "gate touches a line twice: (-1, -1, 0)"),
+    # too many controls is reported before a negative line
+    ((0, 1, 2), 3, "at most two controls are supported"),
+    ((0, 1, -2), 3, "at most two controls are supported"),
+    ((-1,), 0, "negative line index"),
+    ((0, -1), 2, "negative line index"),
+    ((), -1, "negative line index"),
+    ((0,), -3, "negative line index"),
+])
+def test_rev_gate_messages(controls, target, message):
+    with pytest.raises(ValueError) as err:
+        RevGate(controls, target)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("lines, gates, message", [
+    # the first gate out of range is named, whichever of its lines it is
+    ((Line("a"), Line("b")), (t2(0, 1), t3(0, 1, 2), t2(3, 1), t1(5)),
+     "gate RevGate(controls=(0, 1), target=2) exceeds line count 2"),
+    ((Line("a"), Line("b")), (t1(1), t2(4, 0), t1(2)),
+     "gate RevGate(controls=(4,), target=0) exceeds line count 2"),
+    ((Line("a"),), (t1(0), t1(1)),
+     "gate RevGate(controls=(), target=1) exceeds line count 1"),
+    # duplicate names win over duplicate outputs, which win over range
+    ((Line("a"), Line("a"), Line("b", output="z"), Line("c", output="z")),
+     (t1(9),), "line names are not unique"),
+    ((Line("a", output="z"), Line("b", output="z")), (t1(9),),
+     "a primary output appears on two lines"),
+])
+def test_rev_circuit_messages(lines, gates, message):
+    with pytest.raises(ValueError) as err:
+        RevCircuit("r", lines, gates)
+    assert str(err.value) == message
 
 
 def test_rev_gate_helpers():
