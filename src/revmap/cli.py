@@ -3,9 +3,15 @@
 Exit codes: 0 success (verify: Equivalent), 1 verification failure,
 2 malformed input, 3 unsupported construct, 4 usage error.  Every error
 path prints a single ``error[<code>]: <reason>`` line to stderr.
+
+Each command runs with the cyclic garbage collector paused: revmap's
+values hold no reference cycles, so reference counting frees them and a
+collection during a command would reclaim nothing.  ``main`` restores the
+collector's prior state on every exit.
 """
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -243,6 +249,10 @@ def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
+    # sound while commands build no cycles (tests/test_gc.py checks); one an
+    # error path makes, such as a traceback, is collected after main returns
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = _parser.parse_args(argv)
         return args.func(args)
@@ -252,6 +262,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error[2]: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entry():

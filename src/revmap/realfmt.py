@@ -136,7 +136,8 @@ def parse_real(text):
             *controls, target = map(lookup, tokens[1:])
             gates.append(RevGate(tuple(controls), target))
         except (RealFormatError, UnsupportedError) as exc:
-            bad_gate = exc
+            # its traceback would hold this frame, which holds bad_gate
+            bad_gate = exc.with_traceback(None)
         except KeyError as exc:
             bad_gate = RealFormatError(f"unknown line {exc.args[0]!r}", lineno)
         except ValueError as exc:
@@ -170,7 +171,10 @@ def parse_real(text):
     if len(index_of) != width:
         raise RealFormatError("duplicate names in .variables")
     if bad_gate is not None:
-        raise bad_gate
+        try:
+            raise bad_gate
+        finally:
+            bad_gate = None  # the raise put this frame in its traceback
 
     lines = []
     for i, name in enumerate(variables):

@@ -44,12 +44,18 @@ def slot_circuit(c):
         waves[k - 1].append(i)
 
     # fanout-free, so a wanted net is read exactly once, and it stays
-    # available until that read
-    working = [net for net in c.inputs if net in wanted]
+    # available until that read.  The available nets are kept oldest first,
+    # so a wave costs only its own nets; a slot lists them newest first.
+    gates = c.gates
+    alive = dict.fromkeys(net for net in reversed(c.inputs) if net in wanted)
     slots = [Slot((), tuple(c.inputs))]
     for wave in waves:
-        consumed = {net for i in wave for net in c.gates[i].inputs}
-        fresh = [net for i in wave for net in c.gates[i].outputs if net in wanted]
-        working = fresh + [net for net in working if net not in consumed]
-        slots.append(Slot(tuple(wave), tuple(working)))
+        for i in wave:
+            for net in gates[i].inputs:
+                del alive[net]
+        for i in reversed(wave):
+            for net in reversed(gates[i].outputs):
+                if net in wanted:
+                    alive[net] = None
+        slots.append(Slot(tuple(wave), tuple(reversed(alive))))
     return SlottedCircuit(c, tuple(slots))

@@ -1,5 +1,7 @@
 """Reversible netlist format: golden bytes, round trips, malformed input."""
 
+import gc
+
 import pytest
 
 from revmap import (
@@ -134,6 +136,22 @@ def test_bad_gate_lines_rejected(gate_line):
     text = f".numvars 2\n.variables a b\n.begin\n{gate_line}\n.end\n"
     with pytest.raises((RealFormatError, UnsupportedError)):
         parse_real(text)
+
+
+@pytest.mark.parametrize("bad", ["t4 a b a b", "t2 a nosuch", "tx a"])
+@pytest.mark.parametrize("after", ["", "t1 a\n"], ids=["bad-row", "then-trailer"])
+def test_bad_gate_row_leaves_no_cycle(bad, after):
+    # the first bad row is raised after the header checks; holding it must
+    # not tie the parsed gates into a cycle that only the collector frees
+    def garbage_after(good_rows):
+        text = (".numvars 2\n.variables a b\n.begin\n" + "t2 a b\n" * good_rows
+                + bad + "\n.end\n" + after)
+        gc.collect()
+        with pytest.raises((RealFormatError, UnsupportedError)):
+            parse_real(text)
+        return gc.collect()
+
+    assert garbage_after(1000) == garbage_after(0)
 
 
 @pytest.mark.parametrize("text", [
