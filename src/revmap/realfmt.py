@@ -191,11 +191,14 @@ def parse_real(text):
 
 
 def _word(tokens, alphabet, lineno):
-    if len(tokens) != 2 or any(ch not in alphabet for ch in tokens[1]):
+    # no word is the empty word, which write_real gives a zero-line circuit;
+    # the header check judges its length
+    word = tokens[1] if len(tokens) > 1 else ""
+    if len(tokens) > 2 or any(ch not in alphabet for ch in word):
         raise RealFormatError(
             f"{tokens[0]} takes one word over {{{','.join(alphabet)}}}", lineno
         )
-    return tokens[1]
+    return word
 
 
 def _is_number(text):

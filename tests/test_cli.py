@@ -173,6 +173,26 @@ def test_verify_skips_bijectivity_over_cap(half_adder, tmp_path, capsys):
     assert "bijectivity=skipped lines=5 cap=4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["", ".model m\n.inputs\n.outputs\n.end\n"],
+                         ids=["empty", "no-ports"])
+def test_zero_line_circuit_round_trips(tmp_path, capsys, text):
+    blif = tmp_path / "z.blif"
+    real = tmp_path / "z.real"
+    blif.write_text(text)
+    assert main(["convert", str(blif), "-o", str(real)]) == 0
+    assert ".constants \n.garbage \n" in real.read_text()
+    assert main(["verify", str(blif), str(real)]) == 0
+    assert main(["stats", str(real)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "status=Equivalent checked=1 witness=none",
+        "mode=exhaustive seed=-",
+        "bijectivity=ok states=1",
+        "lines=0 constants=0 garbage=0 gates=0 quantum_cost=0",
+    ]
+
+
 def test_verify_sampled_mode(tmp_path, capsys):
     blif = tmp_path / "wide.blif"
     real = tmp_path / "wide.real"
@@ -523,6 +543,9 @@ REAL_HEADER = (
     (REAL_HEADER.replace(".variables a b c", ".variables a b")
      + "t\u00b2 a\n.end\n", 2,
      "error[2]: inconsistent header: .variables lists 2 entries for 3 lines"),
+    # a directive with no word reads as the empty word, judged by its length
+    (".version 2.0\n.numvars 2\n.variables a b\n.constants\n.begin\n.end\n",
+     2, "error[2]: inconsistent header: .constants word has length 0 for 2 lines"),
 ], ids=[
     "comments",
     "blank-lines",
@@ -549,6 +572,7 @@ REAL_HEADER = (
     "superscript-numvars",
     "arabic-indic-numvars",
     "superscript-gate-bad-header",
+    "constants-no-word",
 ])
 def test_real_parse_golden(tmp_path, capsys, text, code, line):
     path = tmp_path / "x.real"

@@ -4,6 +4,7 @@ Mutated copies of the sample circuits and of their .real files are run
 through every subcommand that reads a circuit, in process through
 cli.main.  A traceback fails the test, and so does an exit code outside
 0-4 or an error path that prints anything but one ``error[<code>]:`` line.
+Every .real that convert writes must read back through verify and stats.
 """
 
 import contextlib
@@ -65,6 +66,14 @@ def mutate(text, edits):
     return "\n".join(lines)
 
 
+def run(argv):
+    """Exit code, stdout and stderr of one command run through cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("robustness")
@@ -102,13 +111,29 @@ def test_every_outcome_is_documented(workdir, command, base, edits,
         "stats": ["stats", str(real)],
         "slots": ["slots", str(blif)],
     }[command]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, _, err = run(argv)
     assert code in (0, 1, 2, 3, 4)
-    err = err.getvalue()
     if code >= 2:
         assert err.startswith(f"error[{code}]: ")
         assert err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+
+
+@settings(max_examples=100, deadline=1000, derandomize=True, database=None)
+@given(
+    base=st.integers(min_value=0, max_value=len(BLIFS) - 1),
+    edits=st.lists(edit, max_size=4),
+)
+# AND_BLIF cut down to no inputs, outputs or gates: a zero-line .real
+@example(base=0, edits=[("cut", 43, "", "a"), ("cut", 30, "", "a"),
+                        ("drop", 3, "", "a"), ("drop", 3, "", "a")])
+def test_converted_real_round_trips(workdir, base, edits):
+    blif = workdir / "rt.blif"
+    real = workdir / "rt.real"
+    blif.write_text(mutate(BLIFS[base], edits))
+    if run(["convert", str(blif), "-o", str(real)])[0] != 0:
+        return
+    code, out, _ = run(["verify", str(blif), str(real)])
+    assert (code, out.split(" ")[0]) == (0, "status=Equivalent")
+    assert run(["stats", str(real)])[0] == 0

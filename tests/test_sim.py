@@ -1,6 +1,7 @@
 """Evaluators, equivalence checking, bijectivity and statistics."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -359,7 +360,49 @@ def test_bijectivity_cap():
     assert check_bijectivity(r, max_lines=17) is None
 
 
+def test_bijectivity_rejects_a_gate_that_is_not_a_revgate():
+    # RevCircuit takes any gate with controls and a target; this one clears
+    # its line, so it is no bijection, and only RevGate rules that out
+    gate = SimpleNamespace(controls=(0,), target=0)
+    r = RevCircuit("duck", (Line("a"), Line("b")), (t1(1), gate))
+    with pytest.raises(TypeError, match="not a RevGate"):
+        check_bijectivity(r)
+
+
+def test_bijectivity_simulates_nothing(monkeypatch):
+    r = convert_circuit(pipeline(HALF_ADDER_BLIF)[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_bijectivity must not simulate or rebuild")
+
+    monkeypatch.setattr(sim, "eval_rev", refuse)
+    monkeypatch.setattr(sim, "eval_ir", refuse)
+    monkeypatch.setattr(RevCircuit, "__post_init__", refuse)
+    assert check_bijectivity(r) is None
+
+
+@pytest.mark.parametrize("restore", [True, False])
+@pytest.mark.parametrize("source", ["random", "half_adder"])
+def test_reversed_gates_undo_the_circuit(source, restore):
+    # the identity the bijectivity verdict rests on, checked also on a
+    # circuit far wider than any state walk could cover
+    if source == "random":
+        c = gen_random_circuit(12345, 32, 2000)
+    else:
+        c = parse_blif(HALF_ADDER_BLIF)
+    rev = convert_circuit(slot_circuit(insert_copiers(c)), restore)
+    back = RevCircuit(rev.name, rev.lines, rev.gates[::-1])
+    rng = random.Random(source)
+    for _ in range(4):
+        start = tuple(rng.getrandbits(64) for _ in range(rev.width))
+        there = eval_rev(rev, start, 64)
+        assert there != start
+        assert eval_rev(back, there, 64) == start
+
+
 def test_vectorized_walk_agrees_with_scalar_eval():
+    # the scalar image count is the reference the bijectivity verdict is
+    # held to: every one of the 2^width states has its own image
     c = gen_random_circuit(12, 3, 5)
     rev = convert_circuit(slot_circuit(insert_copiers(c)))
     width = rev.width
