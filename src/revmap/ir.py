@@ -55,17 +55,24 @@ class IrGateKind(Enum):
         self.n_outputs = 2 if value == "copy" else 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IrGate:
     kind: IrGateKind
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
 
-    def __post_init__(self):
-        if type(self.inputs) is not tuple:
-            object.__setattr__(self, "inputs", tuple(self.inputs))
-        if type(self.outputs) is not tuple:
-            object.__setattr__(self, "outputs", tuple(self.outputs))
+    def __init__(self, kind, inputs, outputs):
+        # by hand, not a generated __init__ plus __post_init__, so that a
+        # gate costs one Python frame; the slots' own setters write past the
+        # frozen __setattr__, as a generated __init__ would
+        _set_kind(self, kind)
+        _set_inputs(self, inputs if type(inputs) is tuple else tuple(inputs))
+        _set_outputs(self, outputs if type(outputs) is tuple else tuple(outputs))
+
+
+_set_kind, _set_inputs, _set_outputs = (
+    IrGate.kind.__set__, IrGate.inputs.__set__, IrGate.outputs.__set__
+)
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ class SlottedCircuit:
     slots: tuple[Slot, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RevGate:
     """A generalized Toffoli gate with 0, 1 or 2 controls.
 
@@ -131,11 +138,11 @@ class RevGate:
     controls: tuple[int, ...]
     target: int
 
-    def __post_init__(self):
-        # three rules, reported in this order: no line twice, at most two
-        # controls, no negative line; NOT, CNOT and Toffoli are checked
-        # without building the tuple of touched lines
-        controls, target = self.controls, self.target
+    def __init__(self, controls, target):
+        # by hand for one Python frame per gate, as IrGate's; three rules,
+        # reported in this order: no line twice, at most two controls, no
+        # negative line; NOT, CNOT and Toffoli are checked without building
+        # the tuple of touched lines
         n = len(controls)
         if n == 0:
             if target < 0:
@@ -157,6 +164,11 @@ class RevGate:
             if len(set(touched)) != len(touched):
                 raise ValueError(f"gate touches a line twice: {touched}")
             raise ValueError("at most two controls are supported")
+        _set_controls(self, controls)
+        _set_target(self, target)
+
+
+_set_controls, _set_target = RevGate.controls.__set__, RevGate.target.__set__
 
 
 def t1(target):
@@ -204,9 +216,16 @@ class RevCircuit:
         pos = [ln.output for ln in self.lines if ln.output is not None]
         if len(set(pos)) != len(pos):
             raise ValueError("a primary output appears on two lines")
-        # the highest line any gate touches, found without a loop in Python;
-        # only if it is out of range are the gates walked for the first one
+        # every gate is a RevGate, whose rules make each gate its own inverse
+        # and let the evaluators read at most two controls; the distinct
+        # types are found without a loop in Python
         gates = self.gates
+        if not all(issubclass(t, RevGate) for t in set(map(type, gates))):
+            for g in gates:
+                if not isinstance(g, RevGate):
+                    raise TypeError(f"not a RevGate: {g!r}")
+        # the highest line any gate touches, likewise found without a loop;
+        # only if it is out of range are the gates walked for the first one
         top = max(
             max(map(attrgetter("target"), gates), default=-1),
             max(chain.from_iterable(map(attrgetter("controls"), gates)), default=-1),

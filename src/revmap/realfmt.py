@@ -9,9 +9,10 @@ then the gate list between .begin and .end with one ``t<n>`` gate per
 line, controls first and target last.
 
 parse_real accepts that layout plus ``#`` comments and blank lines, with
-the header directives in any order before .begin.  Gates above two
-controls (t4 and up) are out of the supported set.  The format carries no
-circuit name, so a parsed circuit is named "".
+the header directives in any order before .begin, each at most once
+(.version, which is ignored, may repeat).  Gates above two controls (t4
+and up) are out of the supported set.  The format carries no circuit
+name, so a parsed circuit is named "".
 """
 
 from itertools import count
@@ -71,6 +72,9 @@ def write_real(r):
 # lines touched by each supported gate; _gate_size judges any other head
 _GATE_SIZE = {"t1": 1, "t2": 2, "t3": 3}
 
+# each .constants character as a Line's constant
+_CONSTANT = {"-": None, "0": 0, "1": 1}
+
 
 def parse_real(text):
     width = None
@@ -80,15 +84,20 @@ def parse_real(text):
     constants = None
     garbage = None
     in_body = False
+    seen = set()
 
+    split = _tokens if "#" in text else str.split
     rows = enumerate(text.splitlines(), start=1)
     for lineno, raw in rows:
-        tokens = _tokens(raw)
+        tokens = split(raw)
         if not tokens:
             continue
         head = tokens[0]
         if head == ".version":
             continue
+        if head in seen:
+            raise RealFormatError(f"{head} given twice", lineno)
+        seen.add(head)
         if head == ".numvars":
             if len(tokens) != 2 or not _is_number(tokens[1]):
                 raise RealFormatError(".numvars takes one number", lineno)
@@ -114,11 +123,12 @@ def parse_real(text):
     # body's end and on the header, which take precedence over it.
     index_of = {name: i for i, name in enumerate(variables or ())}
     gates = []
+    append = gates.append
     bad_gate = None
     ended = False
     lookup = index_of.__getitem__
     for lineno, raw in rows:
-        tokens = _tokens(raw)
+        tokens = split(raw)
         if not tokens:
             continue
         if ended:
@@ -133,8 +143,15 @@ def parse_real(text):
             n = _GATE_SIZE.get(head) or _gate_size(head, lineno)
             if len(tokens) != n + 1:
                 raise RealFormatError(f"t{n} takes exactly {n} lines", lineno)
-            *controls, target = map(lookup, tokens[1:])
-            gates.append(RevGate(tuple(controls), target))
+            # controls first, target last; each name is looked up in order
+            if n == 3:
+                _, a, b, target = tokens
+                append(RevGate((lookup(a), lookup(b)), lookup(target)))
+            elif n == 2:
+                _, a, target = tokens
+                append(RevGate((lookup(a),), lookup(target)))
+            else:
+                append(RevGate((), lookup(tokens[1])))
         except (RealFormatError, UnsupportedError) as exc:
             # its traceback would hold this frame, which holds bad_gate
             bad_gate = exc.with_traceback(None)
@@ -176,16 +193,19 @@ def parse_real(text):
         finally:
             bad_gate = None  # the raise put this frame in its traceback
 
-    lines = []
-    for i, name in enumerate(variables):
-        constant = None if constants[i] == "-" else int(constants[i])
-        if garbage[i] == "1":
-            output = None
-        else:
-            output = outputs[i] if outputs is not None else name
-        lines.append(Line(name, constant=constant, output=output))
+    # a line's output is None for garbage, else its .outputs label, which
+    # defaults to the line's name
+    labels = outputs if outputs is not None else variables
+    lines = tuple(
+        map(
+            Line,
+            variables,
+            map(_CONSTANT.__getitem__, constants),
+            [None if g == "1" else label for g, label in zip(garbage, labels)],
+        )
+    )
     try:
-        return RevCircuit("", tuple(lines), tuple(gates))
+        return RevCircuit("", lines, tuple(gates))
     except ValueError as exc:
         raise RealFormatError(str(exc)) from None
 
@@ -194,7 +214,7 @@ def _word(tokens, alphabet, lineno):
     # no word is the empty word, which write_real gives a zero-line circuit;
     # the header check judges its length
     word = tokens[1] if len(tokens) > 1 else ""
-    if len(tokens) > 2 or any(ch not in alphabet for ch in word):
+    if len(tokens) > 2 or not set(word).issubset(alphabet):
         raise RealFormatError(
             f"{tokens[0]} takes one word over {{{','.join(alphabet)}}}", lineno
         )

@@ -166,6 +166,21 @@ def test_verify_detects_mismatch(half_adder, tmp_path, capsys):
     assert "witness=11" in out
 
 
+@pytest.mark.parametrize("extra", [
+    ".numvars 5", ".variables a b x0 x1 x2", ".inputs a b 0 0 0",
+    ".outputs g0 s g1 g2 c", ".constants --000", ".garbage 1-11-",
+], ids=lambda extra: extra.split()[0])
+def test_verify_rejects_a_repeated_header_directive(half_adder, tmp_path,
+                                                    capsys, extra):
+    # a copy of a directive, placed before .begin, made the last one win
+    real = tmp_path / "twice.real"
+    real.write_text(HALF_ADDER_REAL.replace(".begin\n", extra + "\n.begin\n"))
+    assert main(["verify", str(half_adder), str(real)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[2]: line 8: {extra.split()[0]} given twice\n"
+
+
 def test_verify_skips_bijectivity_over_cap(half_adder, tmp_path, capsys):
     real = tmp_path / "ha.real"
     main(["convert", str(half_adder), "-o", str(real)])

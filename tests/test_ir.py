@@ -1,5 +1,7 @@
 """Structural checks: validation, net records, cycle detection, rev types."""
 
+import dataclasses
+import pickle
 from collections import namedtuple
 
 import pytest
@@ -365,3 +367,42 @@ def test_rev_circuit_counts():
     assert r.primary_outputs == ("z",)
     assert r.constant_count == 2
     assert r.garbage_count == 2
+
+
+# ------------------------------------------------- the gate value types
+
+
+@pytest.mark.parametrize("value, fields, bad", [
+    (RevGate((0, 1), 2), {"controls": (0, 1), "target": 2},
+     ({"target": 1}, "gate touches a line twice: (0, 1, 1)")),
+    (RevGate((), 3), {"controls": (), "target": 3},
+     ({"target": -1}, "negative line index")),
+    (IrGate(K.AND, ("a", "b"), ("c",)),
+     {"kind": K.AND, "inputs": ("a", "b"), "outputs": ("c",)}, None),
+], ids=["toffoli", "not", "and"])
+def test_gate_value_types(value, fields, bad):
+    assert [f.name for f in dataclasses.fields(value)] == list(fields)
+    assert {name: getattr(value, name) for name in fields} == fields
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    assert not hasattr(value, "__dict__")
+    twin = type(value)(**fields)
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert repr(value) == f"{type(value).__name__}(" + ", ".join(
+        f"{name}={v!r}" for name, v in fields.items()) + ")"
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert dataclasses.replace(value) == value
+    if bad is not None:
+        # replace builds through the same checks as the constructor
+        changes, message = bad
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(value, **changes)
+        assert str(err.value) == message
+
+
+def test_ir_gate_replace_freezes_lists():
+    g = dataclasses.replace(IrGate(K.NOT, ("a",), ("y",)), inputs=["b"],
+                            outputs=["z"])
+    assert g == IrGate(K.NOT, ("b",), ("z",))
+    assert type(g.inputs) is tuple and type(g.outputs) is tuple

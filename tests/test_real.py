@@ -124,18 +124,62 @@ def test_too_many_controls_is_unsupported():
         parse_real(text)
 
 
-@pytest.mark.parametrize("gate_line", [
-    "t0",
-    "t2 a",
-    "t2 a a",
-    "t2 a nosuch",
-    "h2 a b",
-    "toffoli a b c",
+def _row(row, message, error=RealFormatError):
+    return pytest.param(row, error, message, id=row)
+
+
+# each malformed gate row with the exact message it is reported with; the
+# row is line 4 of the file
+@pytest.mark.parametrize("gate_line, error, message", [
+    _row("t0", "line 4: bad gate size t0"),
+    _row("t2 a", "line 4: t2 takes exactly 2 lines"),
+    _row("t2 a a", "line 4: gate touches a line twice: (0, 0)"),
+    _row("t2 a nosuch", "line 4: unknown line 'nosuch'"),
+    _row("h2 a b", "line 4: unknown gate 'h2'"),
+    _row("toffoli a b c", "line 4: unknown gate 'toffoli'"),
+    _row("t3 a b", "line 4: t3 takes exactly 3 lines"),
+    _row("t3 a b c a", "line 4: t3 takes exactly 3 lines"),
+    _row("t1 a b", "line 4: t1 takes exactly 1 lines"),
+    _row("t1 nosuch", "line 4: unknown line 'nosuch'"),
+    _row("t3 a nosuch zz", "line 4: unknown line 'nosuch'"),
+    _row("t3 c b c", "line 4: gate touches a line twice: (2, 1, 2)"),
+    _row("t4 a b c d", "unsupported gate t4: at most 2 controls",
+         UnsupportedError),
+    _row("t2 a # b", "line 4: t2 takes exactly 2 lines"),
+    _row("T2 a b", "line 4: unknown gate 'T2'"),
+    _row("t", "line 4: unknown gate 't'"),
+    _row("t02 a", "line 4: t2 takes exactly 2 lines"),
 ])
-def test_bad_gate_lines_rejected(gate_line):
-    text = f".numvars 2\n.variables a b\n.begin\n{gate_line}\n.end\n"
-    with pytest.raises((RealFormatError, UnsupportedError)):
+def test_bad_gate_lines_rejected(gate_line, error, message):
+    text = f".numvars 3\n.variables a b c\n.begin\n{gate_line}\n.end\n"
+    with pytest.raises(error) as err:
         parse_real(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("row, gate", [
+    ("t01 a", RevGate((), 0)),
+    ("t02 a b", RevGate((0,), 1)),
+    ("t003 c a b", RevGate((2, 0), 1)),
+    ("t2 a b # a comment", RevGate((0,), 1)),
+    ("t3\tb  c a", RevGate((1, 2), 0)),
+])
+def test_gate_row_spellings(row, gate):
+    text = f".numvars 3\n.variables a b c\n.begin\n{row}\n.end\n"
+    assert parse_real(text).gates == (gate,)
+
+
+@pytest.mark.parametrize("tail, message", [
+    # the end of the body is judged before the first bad row
+    ("", "missing .begin/.end body"),
+    (".end\nt1 a\n", "line 7: content after .end"),
+])
+def test_body_end_beats_a_bad_row(tail, message):
+    text = f".numvars 2\n.variables a b\n.begin\nt1 a\nt2 a\n{tail}"
+    with pytest.raises(RealFormatError) as err:
+        parse_real(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", ["t4 a b a b", "t2 a nosuch", "tx a"])
@@ -170,6 +214,33 @@ def test_bad_gate_row_leaves_no_cycle(bad, after):
 def test_inconsistent_headers_rejected(text):
     with pytest.raises(RealFormatError):
         parse_real(text)
+
+
+FULL_HEADER = (
+    ".version 2.0\n.numvars 2\n.variables a b\n.inputs a b\n"
+    ".outputs a b\n.constants --\n.garbage --\n"
+)
+
+
+# every header row but .version's
+@pytest.mark.parametrize("row", FULL_HEADER.splitlines()[1:],
+                         ids=lambda row: row.split()[0])
+def test_repeated_header_directive_rejected(row):
+    # the second occurrence is reported, right after the first or apart
+    directive = row.split()[0]
+    for text, lineno in (
+        (FULL_HEADER.replace(row, f"{row}\n{row}"),
+         FULL_HEADER.splitlines().index(row) + 2),
+        (FULL_HEADER + row + "\n", 8),
+    ):
+        with pytest.raises(RealFormatError) as err:
+            parse_real(text + ".begin\nt2 a b\n.end\n")
+        assert str(err.value) == f"line {lineno}: {directive} given twice"
+
+
+def test_repeated_version_is_ignored():
+    text = FULL_HEADER + ".version 2.0\n.version 1.0\n.begin\nt1 a\n.end\n"
+    assert parse_real(text).gates == (RevGate((), 0),)
 
 
 def test_header_after_begin_rejected():

@@ -60,6 +60,22 @@ def test_eval_ir_matches_oracle(kind):
         assert got["y"] == BOOL_FN[kind](*(assignment[nm] for nm in names))
 
 
+@pytest.mark.parametrize("kind", list(K))
+def test_eval_ir_matches_oracle_on_64_bit_words(kind):
+    # bit k of every word is one assignment, judged by BOOL_FN; COPY gives
+    # its input on both outputs; the words given are wider than 64 bits
+    ins, outs = ("a", "b")[:kind.n_inputs], ("y", "z")[:kind.n_outputs]
+    c = IrCircuit("one", ins, outs, (IrGate(kind, ins, outs),))
+    rng = random.Random(kind.value)
+    words = {name: rng.getrandbits(72) for name in ins}
+    got = eval_ir(c, words, 64)
+    fn = BOOL_FN.get(kind, lambda a: a)
+    for k in range(64):
+        want = fn(*((words[name] >> k) & 1 for name in ins))
+        assert [(got[name] >> k) & 1 for name in outs] == [want] * len(outs)
+    assert all(got[name] >> 64 == 0 for name in outs)
+
+
 def test_eval_ir_words_carry_one_assignment_per_bit():
     c = gen_random_circuit(21, 5, 30)
     rng = random.Random(4)
@@ -152,6 +168,22 @@ def test_eval_rev_words_carry_one_state_per_bit():
     for k in range(width):
         one = eval_rev(rev, [(w >> k) & 1 for w in words])
         assert one == tuple((w >> k) & 1 for w in got)
+
+
+@pytest.mark.parametrize("gate", [t1(1), t2(0, 2), t3(2, 0, 1)],
+                         ids=["not", "cnot", "toffoli"])
+def test_eval_rev_gates_on_64_bit_words(gate):
+    # bit k of every word is one line state; the words given are wider than
+    # 64 bits
+    r = RevCircuit("one", (Line("a"), Line("b"), Line("c")), (gate,))
+    rng = random.Random(len(gate.controls))
+    start = [rng.getrandbits(72) for _ in r.lines]
+    end = eval_rev(r, start, 64)
+    for k in range(64):
+        bits = [(w >> k) & 1 for w in start]
+        bits[gate.target] ^= all(bits[i] for i in gate.controls)
+        assert [(w >> k) & 1 for w in end] == bits
+    assert all(w >> 64 == 0 for w in end)
 
 
 def test_eval_rev_length_mismatch():
@@ -361,12 +393,12 @@ def test_bijectivity_cap():
 
 
 def test_bijectivity_rejects_a_gate_that_is_not_a_revgate():
-    # RevCircuit takes any gate with controls and a target; this one clears
-    # its line, so it is no bijection, and only RevGate rules that out
+    # this gate clears its line, so it is no bijection; RevCircuit takes
+    # only RevGates, whose rules rule that out, so no such circuit is built
     gate = SimpleNamespace(controls=(0,), target=0)
-    r = RevCircuit("duck", (Line("a"), Line("b")), (t1(1), gate))
-    with pytest.raises(TypeError, match="not a RevGate"):
-        check_bijectivity(r)
+    with pytest.raises(TypeError) as err:
+        RevCircuit("duck", (Line("a"), Line("b")), (t1(1), gate))
+    assert str(err.value) == "not a RevGate: namespace(controls=(0,), target=0)"
 
 
 def test_bijectivity_simulates_nothing(monkeypatch):
