@@ -103,6 +103,8 @@ def cmd_verify(args):
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     for flag, cap in (("--max-exhaustive", args.max_exhaustive),
                       ("--max-bijective", args.max_bijective)):
+        if cap < 0:
+            raise UsageError(f"{flag} must be at least 0, got {cap}")
         if cap > CAP_CEILING:
             raise UsageError(f"{flag} must be at most {CAP_CEILING}, got {cap}")
     c = _load_blif(args.circuit)
@@ -202,12 +204,12 @@ def build_parser():
     p.add_argument("circuit", help="the original .blif")
     p.add_argument("real", help="the reversible .real")
     p.add_argument("--max-exhaustive", type=int, default=12, metavar="N",
-                   help="exhaustive up to N primary inputs (default 12, max 24)")
+                   help="exhaustive up to N primary inputs (default 12, 0 to 24)")
     p.add_argument("--samples", type=int, default=4096, metavar="N",
                    help="assignments to sample above the cap (default 4096)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--max-bijective", type=int, default=16, metavar="N",
-                   help="print bijectivity=skipped above N lines (default 16, max 24)")
+                   help="print bijectivity=skipped above N lines (default 16, 0 to 24)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sim", help="evaluate one input assignment")

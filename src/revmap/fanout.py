@@ -16,8 +16,6 @@ Copier chains sit immediately after the driving gate, or before all gates
 for nets driven by primary inputs.
 """
 
-from itertools import chain
-
 from .errors import FeedbackError, UnsupportedError
 from .ir import (
     PO_SINK,
@@ -49,67 +47,64 @@ def insert_copiers(c):
         raise FeedbackError(c._index.cycle)
     gates = c.gates
     used = set(records)
-    new_inputs = [None] * len(gates)  # per gate, its inputs if a copier feeds it
-    renamed_out = {}  # position -> {output net: the fresh net it drives}
-    lead = []
-    trailing = [None] * len(gates)  # per gate, the copiers placed after it
-
-    def rewrite(net, rec):
-        sinks = rec.sinks
-        source = rec.source
+    # per gate, None while no copier touches it: its inputs with a copier's
+    # output in place of each multi-sink net, its outputs with a renamed PO
+    # net, and the copier chains placed right after it
+    fed = [None] * len(gates)
+    renamed = [None] * len(gates)
+    trailing = [None] * len(gates)
+    lead = []  # the chains of nets driven by primary inputs
+    # the driver map lists the primary inputs, then each gate's outputs, so
+    # fresh names are allocated in that order
+    for net, source in c._index.driver.items():
+        sinks = records[net].sinks
+        if len(sinks) < 2:
+            continue
         fresh = _fresh_names(f"{net}__cp", used)
         to_po = sinks[0] == PO_SINK
-        if to_po:
-            if source is None:
+        carry = net
+        if source is None:
+            if to_po:
                 raise UnsupportedError(
                     f"primary input '{net}' is listed in .outputs and also "
                     "feeds gates; this fanout cannot be rewritten without "
                     "renaming a boundary net"
                 )
-            carry = next(fresh)
-            renamed_out.setdefault(source, {})[net] = carry
-        else:
-            carry = net
-        if source is None:
             copiers = lead
         else:
             if trailing[source] is None:
                 trailing[source] = []
             copiers = trailing[source]
+            if to_po:
+                outs = gates[source].outputs
+                if renamed[source] is None:
+                    renamed[source] = list(outs)
+                carry = next(fresh)
+                renamed[source][outs.index(net)] = carry
 
         # copier j feeds sink j from its first output and the rest of the
         # chain from its second; the last sink takes the chain's end
+        last = len(sinks) - 1
         for j, sink in enumerate(sinks):
-            if j < len(sinks) - 1:
+            if j < last:
                 first = net if j == 0 and to_po else next(fresh)
                 second = next(fresh)
                 copiers.append(IrGate(IrGateKind.COPY, (carry,), (first, second)))
                 supply, carry = first, second
             else:
                 supply = carry
-            if sink == PO_SINK:
-                continue
-            gate, pin = sink
-            ins = new_inputs[gate]
-            if ins is None:
-                ins = new_inputs[gate] = list(gates[gate].inputs)
-            ins[pin] = supply
-
-    for net in chain(c.inputs, *(g.outputs for g in gates)):
-        rec = records[net]
-        if len(rec.sinks) > 1:
-            rewrite(net, rec)
+            if sink != PO_SINK:
+                gate, pin = sink
+                if fed[gate] is None:
+                    fed[gate] = list(gates[gate].inputs)
+                fed[gate][pin] = supply
 
     # a gate that no copier feeds or renames is kept as it is
     out_gates = lead
     for i, g in enumerate(gates):
-        ins = new_inputs[i]
-        renames = renamed_out.get(i)
-        if ins is not None or renames is not None:
-            outs = g.outputs
-            if renames is not None:
-                outs = tuple(renames.get(net, net) for net in outs)
-            g = IrGate(g.kind, g.inputs if ins is None else tuple(ins), outs)
+        if fed[i] is not None or renamed[i] is not None:
+            g = IrGate(g.kind, tuple(fed[i] or g.inputs),
+                       tuple(renamed[i] or g.outputs))
         out_gates.append(g)
         if trailing[i] is not None:
             out_gates += trailing[i]

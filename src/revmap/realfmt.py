@@ -75,16 +75,15 @@ _GATE_SIZE = {"t1": 1, "t2": 2, "t3": 3}
 # each .constants character as a Line's constant
 _CONSTANT = {"-": None, "0": 0, "1": 1}
 
+# the header's per-line directives, in the order their lengths are judged:
+# lists of names, then words over each one's alphabet
+_LISTS = (".variables", ".inputs", ".outputs")
+_WORDS = {".constants": "01-", ".garbage": "1-"}
+
 
 def parse_real(text):
-    width = None
-    variables = None
-    inputs = None
-    outputs = None
-    constants = None
-    garbage = None
+    header = {}  # directive -> its value, for each directive read
     in_body = False
-    seen = set()
 
     split = _tokens if "#" in text else str.split
     rows = enumerate(text.splitlines(), start=1)
@@ -95,28 +94,23 @@ def parse_real(text):
         head = tokens[0]
         if head == ".version":
             continue
-        if head in seen:
+        if head in header:
             raise RealFormatError(f"{head} given twice", lineno)
-        seen.add(head)
-        if head == ".numvars":
+        if head in _LISTS:
+            header[head] = tokens[1:]
+        elif head in _WORDS:
+            header[head] = _word(tokens, _WORDS[head], lineno)
+        elif head == ".numvars":
             if len(tokens) != 2 or not _is_number(tokens[1]):
                 raise RealFormatError(".numvars takes one number", lineno)
-            width = int(tokens[1])
-        elif head == ".variables":
-            variables = tokens[1:]
-        elif head == ".inputs":
-            inputs = tokens[1:]
-        elif head == ".outputs":
-            outputs = tokens[1:]
-        elif head == ".constants":
-            constants = _word(tokens, "01-", lineno)
-        elif head == ".garbage":
-            garbage = _word(tokens, "1-", lineno)
+            header[head] = int(tokens[1])
         elif head == ".begin":
             in_body = True
             break
         else:
             raise RealFormatError(f"unknown directive {head}", lineno)
+    width = header.get(".numvars")
+    variables = header.get(".variables")
 
     # Each row is parsed as it is read, against the header read so far.  The
     # first bad row is kept and raised only after the checks below on the
@@ -167,22 +161,18 @@ def parse_real(text):
     if not in_body or not ended:
         raise RealFormatError("missing .begin/.end body")
 
-    constants = constants if constants is not None else "-" * width
-    garbage = garbage if garbage is not None else "-" * width
-    for label, row in (
-        (".variables", variables),
-        (".inputs", inputs),
-        (".outputs", outputs),
-    ):
+    for head in _LISTS:
+        row = header.get(head)
         if row is not None and len(row) != width:
             raise RealFormatError(
-                f"inconsistent header: {label} lists {len(row)} entries "
+                f"inconsistent header: {head} lists {len(row)} entries "
                 f"for {width} lines"
             )
-    for label, word in ((".constants", constants), (".garbage", garbage)):
+    for head in _WORDS:
+        word = header.setdefault(head, "-" * width)  # left out: no line marked
         if len(word) != width:
             raise RealFormatError(
-                f"inconsistent header: {label} word has length {len(word)} "
+                f"inconsistent header: {head} word has length {len(word)} "
                 f"for {width} lines"
             )
     if len(index_of) != width:
@@ -195,13 +185,13 @@ def parse_real(text):
 
     # a line's output is None for garbage, else its .outputs label, which
     # defaults to the line's name
-    labels = outputs if outputs is not None else variables
+    labels = zip(header[".garbage"], header.get(".outputs", variables))
     lines = tuple(
         map(
             Line,
             variables,
-            map(_CONSTANT.__getitem__, constants),
-            [None if g == "1" else label for g, label in zip(garbage, labels)],
+            map(_CONSTANT.__getitem__, header[".constants"]),
+            [None if g == "1" else label for g, label in labels],
         )
     )
     try:

@@ -265,6 +265,30 @@ def test_verify_cap_above_ceiling_is_exit_4(half_adder, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flag", ["--max-exhaustive", "--max-bijective"])
+@pytest.mark.parametrize("value", ["-1", "-1000000"])
+def test_verify_cap_below_zero_is_exit_4(half_adder, tmp_path, capsys, flag,
+                                         value):
+    # rejected before either file is read: the .real does not exist
+    missing = tmp_path / "missing.real"
+    assert main(["verify", str(half_adder), str(missing), flag, value]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[4]: {flag} must be at least 0, got {value}\n"
+
+
+@pytest.mark.parametrize("flag, line", [
+    ("--max-exhaustive", "mode=sampled seed=0"),
+    ("--max-bijective", "bijectivity=skipped lines=5 cap=0"),
+])
+def test_verify_cap_at_zero_is_accepted(half_adder, tmp_path, capsys, flag,
+                                        line):
+    real = tmp_path / "ha.real"
+    real.write_text(HALF_ADDER_REAL)
+    assert main(["verify", str(half_adder), str(real), flag, "0"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("flag", ["--max-exhaustive", "--max-bijective"])
 def test_verify_cap_at_ceiling_is_accepted(half_adder, tmp_path, capsys, flag):
     real = tmp_path / "ha.real"
     real.write_text(HALF_ADDER_REAL)
@@ -342,6 +366,13 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
     assert err.startswith("error[2]: cannot read")
 
 
+def test_unwritable_output_is_exit_2(half_adder, tmp_path, capsys):
+    assert main(["convert", str(half_adder), "-o", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error[2]: cannot write {tmp_path}: ")
+
+
 def test_bad_blif_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.blif"
     bad.write_text(".model x\n.inputs a\n.outputs y\n.wat\n.end\n")
@@ -417,6 +448,17 @@ def test_verify_name_mismatch_is_exit_2(half_adder, tmp_path, capsys):
                      .replace("t2 a b", "t2 a q"))
     assert main(["verify", str(half_adder), str(other)]) == 2
     assert "primary inputs differ" in capsys.readouterr().err
+
+
+def test_verify_output_mismatch_is_exit_2(half_adder, tmp_path, capsys):
+    other = tmp_path / "other.real"
+    other.write_text(HALF_ADDER_REAL.replace(".outputs g0 s", ".outputs g0 t"))
+    assert main(["verify", str(half_adder), str(other)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error[2]: primary outputs differ: ['c', 's'] vs ['c', 't']\n"
+    )
 
 
 def test_main_builds_the_parser_once(half_adder, monkeypatch, capsys):
@@ -561,6 +603,62 @@ REAL_HEADER = (
     # a directive with no word reads as the empty word, judged by its length
     (".version 2.0\n.numvars 2\n.variables a b\n.constants\n.begin\n.end\n",
      2, "error[2]: inconsistent header: .constants word has length 0 for 2 lines"),
+    # each header row whose length is not .numvars
+    (REAL_HEADER.replace(".variables a b c", ".variables a b c d")
+     + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .variables lists 4 entries for 3 lines"),
+    (REAL_HEADER.replace(".inputs a b c", ".inputs a b c d") + "t1 a\n.end\n",
+     2, "error[2]: inconsistent header: .inputs lists 4 entries for 3 lines"),
+    (REAL_HEADER.replace(".outputs a b c", ".outputs a b") + "t1 a\n.end\n",
+     2, "error[2]: inconsistent header: .outputs lists 2 entries for 3 lines"),
+    (REAL_HEADER.replace(".constants ---", ".constants ----")
+     + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .constants word has length 4 for 3 lines"),
+    (REAL_HEADER.replace(".garbage ---", ".garbage --") + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .garbage word has length 2 for 3 lines"),
+    # lists are judged before words, each in header order, and every
+    # length before the names
+    (REAL_HEADER.replace(".variables a b c", ".variables a b c d")
+     .replace(".inputs a b c", ".inputs a b") + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .variables lists 4 entries for 3 lines"),
+    (REAL_HEADER.replace(".constants ---", ".constants --")
+     .replace(".garbage ---", ".garbage -") + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .constants word has length 2 for 3 lines"),
+    (REAL_HEADER.replace(".outputs a b c", ".outputs a b")
+     .replace(".constants ---", ".constants --") + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .outputs lists 2 entries for 3 lines"),
+    (REAL_HEADER.replace(".variables a b c", ".variables a a c")
+     .replace(".garbage ---", ".garbage -") + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .garbage word has length 1 for 3 lines"),
+    # a missing directive or body, in the order they are judged
+    (REAL_HEADER.replace(".numvars 3\n", "") + "t1 a\n.end\n", 2,
+     "error[2]: missing .numvars"),
+    (REAL_HEADER.replace(".numvars 3\n", "").replace(".variables a b c\n", "")
+     + ".end\n", 2, "error[2]: missing .numvars"),
+    (REAL_HEADER.replace(".variables a b c\n", "") + ".end\n", 2,
+     "error[2]: missing .variables"),
+    (REAL_HEADER.replace(".begin\n", ""), 2,
+     "error[2]: missing .begin/.end body"),
+    (REAL_HEADER + "t1 a\n", 2, "error[2]: missing .begin/.end body"),
+    # malformed header rows
+    (REAL_HEADER.replace(".numvars 3", ".numvars x") + "t1 a\n.end\n", 2,
+     "error[2]: line 2: .numvars takes one number"),
+    (REAL_HEADER.replace(".numvars 3", ".numvars 3 3") + "t1 a\n.end\n", 2,
+     "error[2]: line 2: .numvars takes one number"),
+    (REAL_HEADER.replace(".constants ---", ".constants -2-") + "t1 a\n.end\n",
+     2, "error[2]: line 6: .constants takes one word over {0,1,-}"),
+    (REAL_HEADER.replace(".garbage ---", ".garbage --- ---") + "t1 a\n.end\n",
+     2, "error[2]: line 7: .garbage takes one word over {1,-}"),
+    (REAL_HEADER.replace(".garbage ---", ".garbage -0-") + "t1 a\n.end\n", 2,
+     "error[2]: line 7: .garbage takes one word over {1,-}"),
+    (REAL_HEADER.replace(".garbage ---", ".model m") + "t1 a\n.end\n", 2,
+     "error[2]: line 7: unknown directive .model"),
+    # the header in any order, and without its optional directives
+    (".garbage 1--\n.constants 0--\n.outputs g0 y c\n.inputs 0 b c\n"
+     ".variables a b c\n.numvars 3\n.version 2.0\n.begin\nt3 b c a\n.end\n",
+     0, "lines=3 constants=1 garbage=1 gates=1 quantum_cost=5"),
+    (".numvars 3\n.variables a b c\n.begin\nt3 a b c\nt1 a\n.end\n", 0,
+     "lines=3 constants=0 garbage=0 gates=2 quantum_cost=6"),
 ], ids=[
     "comments",
     "blank-lines",
@@ -588,6 +686,28 @@ REAL_HEADER = (
     "arabic-indic-numvars",
     "superscript-gate-bad-header",
     "constants-no-word",
+    "variables-length",
+    "inputs-length",
+    "outputs-length",
+    "constants-length",
+    "garbage-length",
+    "variables-before-inputs",
+    "constants-before-garbage",
+    "list-before-word",
+    "length-before-duplicate-variables",
+    "no-numvars",
+    "no-numvars-no-variables",
+    "no-variables",
+    "no-begin",
+    "no-end",
+    "numvars-word",
+    "numvars-two-numbers",
+    "constants-alphabet",
+    "garbage-two-words",
+    "garbage-alphabet",
+    "unknown-directive",
+    "shuffled-header",
+    "optional-directives-left-out",
 ])
 def test_real_parse_golden(tmp_path, capsys, text, code, line):
     path = tmp_path / "x.real"
@@ -623,6 +743,10 @@ def test_real_parse_golden(tmp_path, capsys, text, code, line):
     # the output bit is one character; '01' is not a bit
     (".model m\n.inputs a b\n.outputs c\n.names a b c\n11 01\n.end\n",
      "error[2]: line 5: bad cover output bit '01'"),
+    # two buffers onto one net: the second cover's .names line
+    (".model m\n.inputs a b\n.outputs z\n.names a z\n1 1\n.names b z\n1 1\n"
+     ".end\n",
+     "error[2]: line 6: multiple drivers for net 'z'"),
 ], ids=[
     "continuations",
     "backslash-in-comment",
@@ -631,6 +755,7 @@ def test_real_parse_golden(tmp_path, capsys, text, code, line):
     "two-spellings-bad-row",
     "good-then-bad-cover",
     "two-char-output-bit",
+    "two-buffers-one-net",
 ])
 def test_blif_parse_golden(tmp_path, capsys, text, line):
     path = tmp_path / "x.blif"
