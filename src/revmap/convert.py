@@ -16,7 +16,6 @@ running a conversion.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .ir import IrGateKind, Line, RevCircuit, RevGate, _fresh_names
 from .templates import template_for
@@ -78,11 +77,9 @@ def convert_circuit(s, restore_controls=True):
                 line_of_net[net] = bind[role]
                 carrier[bind[role]] = net
 
-    # every net of a sound circuit is a key of its drivers, and only nets
-    # named x... can clash with the constants' names x0, x1, ...
-    taken = {net for net in c._index.driver if net.startswith("x")}
+    # the constants' names avoid every net: each is a key of the driver map
     added = len(carrier) - len(c.inputs)
-    names = [*c.inputs, *islice(_fresh_names("x", taken), added)]
+    names = [*c.inputs, *_fresh_names("x", c._index.driver.keys(), added)]
     outputs = set(c.outputs)
     final = tuple(
         map(Line, names, constants, [n if n in outputs else None for n in carrier])

@@ -22,6 +22,7 @@ from .ir import (
     IrCircuit,
     IrGate,
     IrGateKind,
+    _derive_index,
     _fresh_names,
     build_netlist,
 )
@@ -40,13 +41,15 @@ def fanout_report(c):
 def insert_copiers(c):
     """Return an equivalent circuit in which every net drives exactly one sink.
 
-    Idempotent: running it on its own output changes nothing.
+    Idempotent: running it on its own output changes nothing.  c must
+    validate and be acyclic, and the copier nets are fresh, so the result
+    is sound by construction: it comes with its netlist index, derived
+    from its driver map, and validating or slotting it builds none.
     """
     records = build_netlist(c)
     if c._index.cycle is not None:
         raise FeedbackError(c._index.cycle)
     gates = c.gates
-    used = set(records)
     # per gate, None while no copier touches it: its inputs with a copier's
     # output in place of each multi-sink net, its outputs with a renamed PO
     # net, and the copier chains placed right after it
@@ -54,45 +57,47 @@ def insert_copiers(c):
     renamed = [None] * len(gates)
     trailing = [None] * len(gates)
     lead = []  # the chains of nets driven by primary inputs
+    COPY = IrGateKind.COPY
     # the driver map lists the primary inputs, then each gate's outputs, so
-    # fresh names are allocated in that order
+    # fresh names are allocated in that order; they need only avoid c's own
+    # nets, as the names drawn for two nets <a> and <b> (<a>__cp, a number,
+    # underscores) never meet
     for net, source in c._index.driver.items():
         sinks = records[net].sinks
         if len(sinks) < 2:
             continue
-        fresh = _fresh_names(f"{net}__cp", used)
-        to_po = sinks[0] == PO_SINK
+        # copier j reads carry j (for j = 0 the net, or the name its driver
+        # yields instead) and yields names[2j] for sink j and names[2j + 1]
+        # as carry j + 1; the last sink reads the last carry
+        names = _fresh_names(f"{net}__cp", records.keys(), 2 * len(sinks) - 2)
         carry = net
-        if source is None:
-            if to_po:
+        if sinks[0] == PO_SINK:
+            if source is None:
                 raise UnsupportedError(
                     f"primary input '{net}' is listed in .outputs and also "
                     "feeds gates; this fanout cannot be rewritten without "
                     "renaming a boundary net"
                 )
+            # the driver yields a fresh net, and the first copier gives the
+            # PO its name back
+            outs = gates[source].outputs
+            if renamed[source] is None:
+                renamed[source] = list(outs)
+            carry = renamed[source][outs.index(net)] = names[0]
+            names[0] = net
+        if source is None:
             copiers = lead
         else:
             if trailing[source] is None:
                 trailing[source] = []
             copiers = trailing[source]
-            if to_po:
-                outs = gates[source].outputs
-                if renamed[source] is None:
-                    renamed[source] = list(outs)
-                carry = next(fresh)
-                renamed[source][outs.index(net)] = carry
-
-        # copier j feeds sink j from its first output and the rest of the
-        # chain from its second; the last sink takes the chain's end
-        last = len(sinks) - 1
-        for j, sink in enumerate(sinks):
-            if j < last:
-                first = net if j == 0 and to_po else next(fresh)
-                second = next(fresh)
-                copiers.append(IrGate(IrGateKind.COPY, (carry,), (first, second)))
-                supply, carry = first, second
-            else:
-                supply = carry
+        supplies = []
+        for first, second in zip(names[::2], names[1::2]):
+            copiers.append(IrGate(COPY, (carry,), (first, second)))
+            supplies.append(first)
+            carry = second
+        supplies.append(carry)
+        for sink, supply in zip(sinks, supplies):
             if sink != PO_SINK:
                 gate, pin = sink
                 if fed[gate] is None:
@@ -108,4 +113,11 @@ def insert_copiers(c):
         out_gates.append(g)
         if trailing[i] is not None:
             out_gates += trailing[i]
-    return IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates))
+    # c validated and every copier net is fresh, so the result is sound by
+    # construction: its index needs only the driver map
+    driver = dict.fromkeys(c.inputs)
+    for p, g in enumerate(out_gates):
+        for net in g.outputs:
+            driver[net] = p
+    return _derive_index(IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates)),
+                         driver)

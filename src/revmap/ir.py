@@ -13,17 +13,23 @@ circuit's gate tuple, and diagnostics label position ``i`` as ``g<i>``.
 
 Every graph question about an IrCircuit (is it sound, which gate drives a
 net, in what order can gates fire, where is a loop) is answered from one
-_NetIndex, built on first use and memoized on the circuit as its _index.
-The memo is sound because IrCircuit and IrGate turn their sequence
-fields into tuples when built, so nothing the index was built from can
-change; validate_circuit, check_circuit, detect_cycles and build_netlist
-are views of it.
+_NetIndex, memoized on the circuit as its _index.  The memo is sound
+because IrCircuit and IrGate turn their sequence fields into tuples when
+built, so nothing the index was built from can change; validate_circuit,
+check_circuit, detect_cycles and build_netlist are views of it.  An index
+is fresh or derived.  A circuit read from a file, or built by a caller,
+gets a fresh one on first use: set checks decide whether it is sound, and
+the ordered walk that lists the violations runs only when one of them
+fails.  The circuit that insert_copiers builds is sound by construction
+and is handed an index derived from its driver map, so its first
+validation is already a lookup.
 """
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 from operator import attrgetter
 
 from .errors import ValidationError
@@ -95,7 +101,7 @@ class IrCircuit:
         return _NetIndex(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NetRecord:
     """Driver and consumers of one net.
 
@@ -107,6 +113,17 @@ class NetRecord:
     net: str
     source: int | None
     sinks: tuple
+
+    def __init__(self, net, source, sinks):
+        # by hand for one Python frame per record, as IrGate's
+        _set_net(self, net)
+        _set_source(self, source)
+        _set_sinks(self, sinks)
+
+
+_set_net, _set_source, _set_sinks = (
+    NetRecord.net.__set__, NetRecord.source.__set__, NetRecord.sinks.__set__
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +200,7 @@ def t3(control_a, control_b, target):
     return RevGate((control_a, control_b), target)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Line:
     """One line of a reversible circuit.
 
@@ -195,6 +212,17 @@ class Line:
     name: str
     constant: int | None = None
     output: str | None = None
+
+    def __init__(self, name, constant=None, output=None):
+        # by hand for one Python frame per line, as IrGate's
+        _set_name(self, name)
+        _set_constant(self, constant)
+        _set_output(self, output)
+
+
+_set_name, _set_constant, _set_output = (
+    Line.name.__set__, Line.constant.__set__, Line.output.__set__
+)
 
 
 @dataclass(frozen=True)
@@ -267,17 +295,20 @@ class Violation:
         return f"{self.code}: {self.subject}"
 
 
-def _fresh_names(stem, taken):
-    """Yield stem0, stem1, ... as names not in taken, adding each to taken.
+def _fresh_names(stem, taken, n):
+    """Return the n names stem0, stem1, ..., each with '_' appended until
+    it is not in taken.
 
-    A name already in taken gets '_' appended until it is free.
+    No two of them clash, as each ends in its own number and then only
+    underscores, so taken need not learn them in between.
     """
-    for k in count():
-        name = f"{stem}{k}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        yield name
+    names = list(map(stem.__add__, map(str, range(n))))
+    if not taken.isdisjoint(names):
+        for k, name in enumerate(names):
+            while name in taken:
+                name += "_"
+            names[k] = name
+    return names
 
 
 def validate_circuit(c):
@@ -337,6 +368,18 @@ def detect_cycles(c):
     return None if cycle is None else list(cycle)
 
 
+def _derive_index(c, driver):
+    """Memoize on c the index derived from driver, c's driver map; return c.
+
+    Only for a circuit that is sound by construction, as insert_copiers'
+    output is: its parent validated, and every name it adds is fresh.  The
+    map must list the primary inputs, then each gate's outputs in gate
+    order, as a fresh index's map does.
+    """
+    c.__dict__["_index"] = _NetIndex(c, driver)
+    return c
+
+
 class _NetIndex:
     """The answers to every graph question about one IrCircuit.
 
@@ -346,71 +389,44 @@ class _NetIndex:
     be placed, each after its drivers), level (per placed gate, 1 + the
     highest level of its drivers, 1 if it reads only primary inputs) and
     cycle (detect_cycles' witness as a tuple, None if every gate is placed).
+
+    An index is fresh or derived.  A fresh one, _NetIndex(c), decides
+    soundness with the set checks of _sound_driver and with the undriven
+    reads the readers pass finds; only if one fails does _walk list the
+    violations, in their documented order.  A derived one,
+    _NetIndex(c, driver), is given the driver map of a circuit that is
+    sound by construction (see _derive_index) and checks nothing.  Both
+    place the gates with the same readers and Kahn passes.
     """
 
-    def __init__(self, c):
-        found = []
-        sound = set()  # names found sound so far; a bad name never joins
+    __slots__ = ("violations", "driver", "order", "level", "cycle")
 
-        def check_name(name):
-            if not name or name.split() != [name]:
-                found.append(Violation("bad-name", repr(name)))
-            else:
-                sound.add(name)
-
-        for name in (*c.inputs, *c.outputs):
-            if name not in sound:
-                check_name(name)
-        for seq in (c.inputs, c.outputs):
-            seen = set()
-            for name in seq:
-                if name in seen:
-                    found.append(Violation("duplicate-name", name))
-                seen.add(name)
-
-        driver = dict.fromkeys(c.inputs)
-        for i, g in enumerate(c.gates):
-            ins, outs, kind = g.inputs, g.outputs, g.kind
-            for name in ins:
-                if name not in sound:
-                    check_name(name)
-            for name in outs:
-                if name not in sound:
-                    check_name(name)
-            if len(ins) != kind.n_inputs or len(outs) != kind.n_outputs:
-                found.append(Violation("bad-arity", f"g{i} ({kind.value})"))
-            seen = ()  # a gate has one or two outputs: a tuple beats a set
-            for name in outs:
-                if name in seen:
-                    found.append(Violation("duplicate-name", name))
-                seen = (*seen, name)
-                if name in driver:
-                    found.append(Violation("multiple-drivers", name))
-                else:
-                    driver[name] = i
-
-        for name in c.outputs:
-            if name not in driver:
-                found.append(Violation("undriven-output", name))
+    def __init__(self, c, driver=None):
         gates = c.gates
+        sound = driver is not None
+        if not sound:
+            driver, sound = _sound_driver(c)
+        undriven = []  # each read of an undriven net, in read order
         pending = []  # per gate, how many of its inputs other gates drive
         readers = [[] for _ in gates]  # per gate, the gates reading it
         get = driver.get
         for i, g in enumerate(gates):
             n = 0
             for name in g.inputs:
-                d = get(name, found)  # found: a sentinel no position equals
-                if d is found:
-                    found.append(Violation("undriven-input", name))
+                d = get(name, undriven)  # undriven: a sentinel no position equals
+                if d is undriven:
+                    undriven.append(name)
                 elif d is not None:
                     readers[d].append(i)
                     n += 1
             pending.append(n)
-        self.violations = tuple(found)
-        self.driver = driver
         self.order = self.level = self.cycle = None
-        if found:
+        if not sound or undriven:
+            found, driver = _walk(c)
+            found += [Violation("undriven-input", name) for name in undriven]
+            self.violations, self.driver = tuple(found), driver
             return
+        self.violations, self.driver = (), driver
         level = [1] * len(gates)
         order = [i for i, n in enumerate(pending) if n == 0]
         for i in order:
@@ -435,3 +451,96 @@ class _NetIndex:
                 if d is not None and unplaced[d]
             )
         self.cycle = tuple(walked)[walked[node]:]
+
+
+_WHITESPACE = re.compile(r"\s")  # exactly the characters str.split splits on
+
+
+def _sound_driver(c):
+    """Return c's driver map and whether the set checks find c sound.
+
+    If, in addition, no gate reads an undriven net, sound means that _walk
+    finds no violation: the map has one key per primary input and gate
+    output (so no net has two drivers and no list repeats a name), the
+    .outputs are distinct and driven, every gate has its kind's arity, and
+    no name is empty or holds whitespace.  Every name such a circuit
+    mentions is a key of the map, so the keys are checked for whitespace
+    in one search of their concatenation.  A name that is not a str makes
+    the concatenation fail and the circuit unsound here, so that _walk
+    judges it.
+    """
+    inputs, outputs = c.inputs, c.outputs
+    driver = dict.fromkeys(inputs)
+    size = len(inputs)
+    arity = True
+    for i, g in enumerate(c.gates):
+        outs, kind = g.outputs, g.kind
+        if len(g.inputs) != kind.n_inputs or len(outs) != kind.n_outputs:
+            arity = False
+        size += len(outs)
+        for name in outs:
+            driver[name] = i
+    try:
+        joined = "".join(driver)
+    except TypeError:
+        return driver, False
+    return driver, (
+        arity
+        and len(driver) == size
+        and len(set(outputs)) == len(outputs)
+        and all(map(driver.__contains__, outputs))
+        and "" not in driver
+        and not _WHITESPACE.search(joined)
+    )
+
+
+def _walk(c):
+    """List c's violations but for undriven reads, in order, and its drivers.
+
+    The driver map keeps a net's first driver; the undriven reads are
+    found by _NetIndex's readers pass, and reported after these.
+    """
+    found = []
+    sound = set()  # names found sound so far; a bad name never joins
+
+    def check_name(name):
+        if not name or name.split() != [name]:
+            found.append(Violation("bad-name", repr(name)))
+        else:
+            sound.add(name)
+
+    for name in (*c.inputs, *c.outputs):
+        if name not in sound:
+            check_name(name)
+    for seq in (c.inputs, c.outputs):
+        seen = set()
+        for name in seq:
+            if name in seen:
+                found.append(Violation("duplicate-name", name))
+            seen.add(name)
+
+    driver = dict.fromkeys(c.inputs)
+    for i, g in enumerate(c.gates):
+        ins, outs, kind = g.inputs, g.outputs, g.kind
+        for name in ins:
+            if name not in sound:
+                check_name(name)
+        for name in outs:
+            if name not in sound:
+                check_name(name)
+        if len(ins) != kind.n_inputs or len(outs) != kind.n_outputs:
+            found.append(Violation("bad-arity", f"g{i} ({kind.value})"))
+        seen = ()  # a gate has one or two outputs: a tuple beats a set
+        for name in outs:
+            if name in seen:
+                found.append(Violation("duplicate-name", name))
+            seen = (*seen, name)
+            if name in driver:
+                found.append(Violation("multiple-drivers", name))
+            else:
+                driver[name] = i
+
+    for name in c.outputs:
+        if name not in driver:
+            found.append(Violation("undriven-output", name))
+    return found, driver

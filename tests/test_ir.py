@@ -379,7 +379,10 @@ def test_rev_circuit_counts():
      ({"target": -1}, "negative line index")),
     (IrGate(K.AND, ("a", "b"), ("c",)),
      {"kind": K.AND, "inputs": ("a", "b"), "outputs": ("c",)}, None),
-], ids=["toffoli", "not", "and"])
+    (Line("x0", 1, "z"), {"name": "x0", "constant": 1, "output": "z"}, None),
+    (NetRecord("c", 0, (PO_SINK, (1, 0))),
+     {"net": "c", "source": 0, "sinks": (PO_SINK, (1, 0))}, None),
+], ids=["toffoli", "not", "and", "line", "net-record"])
 def test_gate_value_types(value, fields, bad):
     assert [f.name for f in dataclasses.fields(value)] == list(fields)
     assert {name: getattr(value, name) for name in fields} == fields
@@ -399,6 +402,13 @@ def test_gate_value_types(value, fields, bad):
         with pytest.raises(ValueError) as err:
             dataclasses.replace(value, **changes)
         assert str(err.value) == message
+
+
+def test_line_defaults():
+    assert Line("a") == Line("a", None, None) == Line(name="a")
+    assert Line("x0", output="z") == Line("x0", None, "z")
+    assert [f.default for f in dataclasses.fields(Line)][1:] == [None, None]
+    assert dataclasses.replace(Line("a"), constant=0) == Line("a", 0)
 
 
 def test_ir_gate_replace_freezes_lists():

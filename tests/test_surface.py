@@ -10,11 +10,14 @@ import ast
 import importlib
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import revmap
+from revmap.cli import main
+from samples import HALF_ADDER_BLIF
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -43,6 +46,30 @@ def test_traced_layer_is_a_public_function(layer):
         assert getattr(revmap, func) is fn
 
 
+def test_half_adder_commands_enter_every_traced_layer(tmp_path, capsys):
+    # a speed-up that stops calling a traced layer leaves the benchmark's
+    # trace without that layer's metrics; catch it here, by watching which
+    # functions one convert and one verify really enter
+    blif = tmp_path / "half_adder.blif"
+    real = tmp_path / "half_adder.real"
+    blif.write_text(HALF_ADDER_BLIF)
+    entered = set()
+
+    def record(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("revmap."):
+            entered.add(f"{module[len('revmap.'):]}.{frame.f_code.co_name}")
+
+    sys.setprofile(record)
+    try:
+        convert = main(["convert", str(blif), "-o", str(real)])
+        verify = main(["verify", str(blif), str(real)])
+    finally:
+        sys.setprofile(None)
+    assert (convert, verify) == (0, 0)
+    assert [layer for layer in traced_layers() if layer not in entered] == []
+
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "revmap"
 
 
@@ -63,6 +90,7 @@ def private_imports():
 def test_modules_share_only_these_private_names():
     assert private_imports() == {
         ("fanout", "ir", "_fresh_names"),
+        ("fanout", "ir", "_derive_index"),
         ("convert", "ir", "_fresh_names"),
         ("realfmt", "blif", "_tokens"),
         ("cli", "realfmt", "_output_labels"),
