@@ -240,7 +240,17 @@ def _resolve_aliases(c, aliases):
         if not aliases.keys().isdisjoint(g.inputs) else g
         for g in c.gates
     )
-    resolved = IrCircuit(c.name, c.inputs, tuple(map(resolve, c.outputs)), gates)
+    outputs = tuple(map(resolve, c.outputs))
+    if len(set(outputs)) < len(set(c.outputs)):
+        # two distinct outputs alias one net, which a line cannot carry twice
+        first = {}
+        for name, net in zip(c.outputs, outputs):
+            if first.setdefault(net, name) != name:
+                raise UnsupportedError(
+                    f"primary outputs '{first[net]}' and '{name}' are both net "
+                    f"'{net}' after buffer aliasing; one net cannot be two outputs"
+                )
+    resolved = IrCircuit(c.name, c.inputs, outputs, gates)
     # A buffer that nothing reads leaves no trace in the circuit, so its
     # chain is resolved here: a cycle is rejected as above, and an undriven
     # root is listed after the circuit's violations, as a read one would be.

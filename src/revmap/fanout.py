@@ -43,20 +43,19 @@ def insert_copiers(c):
 
     Idempotent: running it on its own output changes nothing.  c must
     validate and be acyclic, and the copier nets are fresh, so the result
-    is sound by construction: it comes with its netlist index, derived
-    from its driver map, and validating or slotting it builds none.
+    is sound by construction: it comes with a derived netlist index, and
+    validating or slotting it builds none.
     """
     records = build_netlist(c)
     if c._index.cycle is not None:
         raise FeedbackError(c._index.cycle)
     gates = c.gates
     # per gate, None while no copier touches it: its inputs with a copier's
-    # output in place of each multi-sink net, its outputs with a renamed PO
-    # net, and the copier chains placed right after it
+    # output in place of each multi-sink net, and its outputs with a renamed
+    # PO net
     fed = [None] * len(gates)
     renamed = [None] * len(gates)
-    trailing = [None] * len(gates)
-    lead = []  # the chains of nets driven by primary inputs
+    chains = {}  # driving gate (None for primary inputs) -> its copiers
     COPY = IrGateKind.COPY
     # the driver map lists the primary inputs, then each gate's outputs, so
     # fresh names are allocated in that order; they need only avoid c's own
@@ -85,12 +84,7 @@ def insert_copiers(c):
                 renamed[source] = list(outs)
             carry = renamed[source][outs.index(net)] = names[0]
             names[0] = net
-        if source is None:
-            copiers = lead
-        else:
-            if trailing[source] is None:
-                trailing[source] = []
-            copiers = trailing[source]
+        copiers = chains.setdefault(source, [])
         supplies = []
         for first, second in zip(names[::2], names[1::2]):
             copiers.append(IrGate(COPY, (carry,), (first, second)))
@@ -104,20 +98,16 @@ def insert_copiers(c):
                     fed[gate] = list(gates[gate].inputs)
                 fed[gate][pin] = supply
 
-    # a gate that no copier feeds or renames is kept as it is
-    out_gates = lead
+    # a gate that no copier feeds or renames is kept as it is; each chain
+    # follows its driving gate, and the primary inputs' chains lead
+    out_gates = chains.pop(None, [])
     for i, g in enumerate(gates):
         if fed[i] is not None or renamed[i] is not None:
             g = IrGate(g.kind, tuple(fed[i] or g.inputs),
                        tuple(renamed[i] or g.outputs))
         out_gates.append(g)
-        if trailing[i] is not None:
-            out_gates += trailing[i]
+        if i in chains:
+            out_gates += chains[i]
     # c validated and every copier net is fresh, so the result is sound by
-    # construction: its index needs only the driver map
-    driver = dict.fromkeys(c.inputs)
-    for p, g in enumerate(out_gates):
-        for net in g.outputs:
-            driver[net] = p
-    return _derive_index(IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates)),
-                         driver)
+    # construction
+    return _derive_index(IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates)))

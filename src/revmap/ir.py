@@ -15,13 +15,15 @@ Every graph question about an IrCircuit (is it sound, which gate drives a
 net, in what order can gates fire, where is a loop) is answered from one
 _NetIndex, memoized on the circuit as its _index.  The memo is sound
 because IrCircuit and IrGate turn their sequence fields into tuples when
-built, so nothing the index was built from can change; validate_circuit,
-check_circuit, detect_cycles and build_netlist are views of it.  An index
-is fresh or derived.  A circuit read from a file, or built by a caller,
-gets a fresh one on first use: set checks decide whether it is sound, and
-the ordered walk that lists the violations runs only when one of them
-fails.  The circuit that insert_copiers builds is sound by construction
-and is handed an index derived from its driver map, so its first
+built, so nothing the index was built from can change.  validate_circuit,
+check_circuit and detect_cycles are views of it; build_netlist takes only
+the driver map from it and walks the gates itself for each net's sinks.
+Only this module builds an index or its driver map.  An index is fresh or
+derived.  A circuit read from a file, or built by a caller, gets a fresh
+one on first use: set checks decide whether it is sound, and the ordered
+walk that lists the violations runs only when one of them fails.  The
+circuit that insert_copiers builds is sound by construction and gets a
+derived index from _derive_index, which checks nothing, so its first
 validation is already a lookup.
 """
 
@@ -368,14 +370,16 @@ def detect_cycles(c):
     return None if cycle is None else list(cycle)
 
 
-def _derive_index(c, driver):
-    """Memoize on c the index derived from driver, c's driver map; return c.
+def _derive_index(c):
+    """Memoize on c an index that checks nothing; return c.
 
     Only for a circuit that is sound by construction, as insert_copiers'
-    output is: its parent validated, and every name it adds is fresh.  The
-    map must list the primary inputs, then each gate's outputs in gate
-    order, as a fresh index's map does.
+    output is: its parent validated, and every name it adds is fresh.
     """
+    driver = dict.fromkeys(c.inputs)
+    for i, g in enumerate(c.gates):
+        for name in g.outputs:
+            driver[name] = i
     c.__dict__["_index"] = _NetIndex(c, driver)
     return c
 
@@ -384,11 +388,14 @@ class _NetIndex:
     """The answers to every graph question about one IrCircuit.
 
     violations is validate_circuit's list as a tuple.  driver maps each
-    driven net to its gate's position, None for a primary input.  Only if
-    the circuit validates does one Kahn pass set order (the gates that can
-    be placed, each after its drivers), level (per placed gate, 1 + the
-    highest level of its drivers, 1 if it reads only primary inputs) and
-    cycle (detect_cycles' witness as a tuple, None if every gate is placed).
+    driven net to its gate's position, None for a primary input: the
+    primary inputs first, then each gate's outputs in gate order.  Only
+    a sound circuit's map is read, as an unsound one may give a net two
+    drivers.  Only if the circuit validates does one Kahn pass set order
+    (the gates that can be placed, each after its drivers), level (per
+    placed gate, 1 + the highest level of its drivers, 1 if it reads only
+    primary inputs) and cycle (detect_cycles' witness as a tuple, None if
+    every gate is placed).
 
     An index is fresh or derived.  A fresh one, _NetIndex(c), decides
     soundness with the set checks of _sound_driver and with the undriven
@@ -420,13 +427,14 @@ class _NetIndex:
                     readers[d].append(i)
                     n += 1
             pending.append(n)
+        self.driver = driver
         self.order = self.level = self.cycle = None
         if not sound or undriven:
-            found, driver = _walk(c)
+            found = _walk(c)
             found += [Violation("undriven-input", name) for name in undriven]
-            self.violations, self.driver = tuple(found), driver
+            self.violations = tuple(found)
             return
-        self.violations, self.driver = (), driver
+        self.violations = ()
         level = [1] * len(gates)
         order = [i for i, n in enumerate(pending) if n == 0]
         for i in order:
@@ -495,23 +503,19 @@ def _sound_driver(c):
 
 
 def _walk(c):
-    """List c's violations but for undriven reads, in order, and its drivers.
+    """List c's violations but for undriven reads, in order.
 
-    The driver map keeps a net's first driver; the undriven reads are
-    found by _NetIndex's readers pass, and reported after these.
+    The undriven reads are found by _NetIndex's readers pass, and reported
+    after these.
     """
     found = []
-    sound = set()  # names found sound so far; a bad name never joins
 
     def check_name(name):
-        if not name or name.split() != [name]:
+        if not isinstance(name, str) or not name or name.split() != [name]:
             found.append(Violation("bad-name", repr(name)))
-        else:
-            sound.add(name)
 
     for name in (*c.inputs, *c.outputs):
-        if name not in sound:
-            check_name(name)
+        check_name(name)
     for seq in (c.inputs, c.outputs):
         seen = set()
         for name in seq:
@@ -519,28 +523,24 @@ def _walk(c):
                 found.append(Violation("duplicate-name", name))
             seen.add(name)
 
-    driver = dict.fromkeys(c.inputs)
+    driven = set(c.inputs)
     for i, g in enumerate(c.gates):
         ins, outs, kind = g.inputs, g.outputs, g.kind
-        for name in ins:
-            if name not in sound:
-                check_name(name)
-        for name in outs:
-            if name not in sound:
-                check_name(name)
+        for name in (*ins, *outs):
+            check_name(name)
         if len(ins) != kind.n_inputs or len(outs) != kind.n_outputs:
             found.append(Violation("bad-arity", f"g{i} ({kind.value})"))
-        seen = ()  # a gate has one or two outputs: a tuple beats a set
+        seen = set()
         for name in outs:
             if name in seen:
                 found.append(Violation("duplicate-name", name))
-            seen = (*seen, name)
-            if name in driver:
+            seen.add(name)
+            if name in driven:
                 found.append(Violation("multiple-drivers", name))
             else:
-                driver[name] = i
+                driven.add(name)
 
     for name in c.outputs:
-        if name not in driver:
+        if name not in driven:
             found.append(Violation("undriven-output", name))
-    return found, driver
+    return found

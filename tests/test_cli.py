@@ -1,5 +1,10 @@
 """End-to-end CLI behavior: outputs, exit codes, error reporting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import revmap.cli
@@ -762,3 +767,79 @@ def test_blif_parse_golden(tmp_path, capsys, text, line):
     path.write_text(text)
     assert main(["convert", str(path), "-o", "-"]) == int(line[6])
     assert capsys.readouterr().err == line + "\n"
+
+
+COLLAPSED = {
+    # two buffered outputs of one net
+    "two-buffers": (".model m\n.inputs a\n.outputs y z\n.names a y\n1 1\n"
+                    ".names a z\n1 1\n.end\n",
+                    "error[3]: primary outputs 'y' and 'z' are both net 'a' "
+                    "after buffer aliasing; one net cannot be two outputs\n"),
+    # an output that buffers a primary input also listed in .outputs
+    "buffered-input": (".model m\n.inputs a\n.outputs a y\n.names a y\n1 1\n"
+                       ".end\n",
+                       "error[3]: primary outputs 'a' and 'y' are both net "
+                       "'a' after buffer aliasing; one net cannot be two "
+                       "outputs\n"),
+}
+ONE_INPUT_COMMANDS = [
+    ["convert", "{blif}", "-o", "-"],
+    ["verify", "{blif}", "{real}"],
+    ["sim", "{blif}", "--input", "1"],
+]
+
+
+@pytest.mark.parametrize("command", ONE_INPUT_COMMANDS,
+                         ids=["convert", "verify", "sim"])
+@pytest.mark.parametrize("case", sorted(COLLAPSED))
+def test_outputs_collapsed_by_buffers_are_exit_3(tmp_path, capsys, case, command):
+    text, err = COLLAPSED[case]
+    blif, real = tmp_path / "x.blif", tmp_path / "x.real"
+    blif.write_text(text)
+    real.write_text(HALF_ADDER_REAL)
+    argv = [arg.format(blif=blif, real=real) for arg in command]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("command", [["convert", "-o", "-"], ["sim", "--input", "1"]],
+                         ids=["convert", "sim"])
+def test_an_output_listed_twice_is_still_exit_2(tmp_path, capsys, command):
+    # a name listed twice is malformed, not a collapse (verify is left out:
+    # no .real can list an output twice, so it stops at the .real)
+    blif = tmp_path / "x.blif"
+    blif.write_text(".model m\n.inputs a\n.outputs y y\n.names a y\n0 1\n.end\n")
+    assert main([command[0], str(blif), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "error[2]: duplicate-name: y\n")
+
+
+@pytest.mark.parametrize("command, name, data", [
+    (["convert", "{path}", "-o", "-"], "x.blif",
+     b".model m\n.inputs a\xff\n.outputs y\n.names a y\n0 1\n.end\n"),
+    (["stats", "{path}"], "x.real",
+     HALF_ADDER_REAL.encode().replace(b"t2 a b", b"t2 a\xff b")),
+], ids=["convert", "stats"])
+def test_input_that_is_not_utf8_is_exit_2(tmp_path, capsys, command, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main([arg.format(path=path) for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[2]: 'utf-8' codec can't decode byte 0xff ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_module_run_reports_the_exit_code(half_adder, tmp_path):
+    # python -m revmap.cli must exit as the installed revmap script does
+    good, bad = tmp_path / "good.real", tmp_path / "bad.real"
+    good.write_text(HALF_ADDER_REAL)
+    bad.write_text(HALF_ADDER_REAL.replace("t2 a b\n", ""))
+    src = Path(revmap.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for real, code in ((good, 0), (bad, 1)):
+        run = subprocess.run(
+            [sys.executable, "-m", "revmap.cli", "verify", str(half_adder), str(real)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == code, run.stderr
+        assert run.stdout.startswith("status=")

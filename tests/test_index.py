@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revmap.ir
 from revmap import (
     IrCircuit,
     IrGate,
@@ -27,9 +28,12 @@ from revmap import (
 from revmap.ir import _NetIndex, _sound_driver, _walk
 from samples import (
     AND_BLIF,
+    CANONICAL_ROWS,
+    FEEDBACK_BLIF,
     HALF_ADDER_BLIF,
     buffer_chain_blif,
     not_chain_blif,
+    single_gate_blif,
 )
 from test_acceptance import random_suite
 from test_golden import aliased_blif, malformed_circuit
@@ -155,12 +159,37 @@ def test_derived_index_property(c):
     assert_derived_equals_fresh(c)
 
 
+def sound_samples():
+    """Random circuits and every sample, the cyclic one and the NOT chain too."""
+    for seed in range(100):
+        yield gen_random_circuit(seed, 1 + seed % 9, seed % 41)
+    yield gen_random_circuit(12345, 32, 800)
+    for text in (AND_BLIF, HALF_ADDER_BLIF, FEEDBACK_BLIF, not_chain_blif(3000),
+                 buffer_chain_blif(8), *map(single_gate_blif, CANONICAL_ROWS)):
+        yield parse_blif(text)
+
+
+def test_a_sound_circuit_never_reaches_the_walk(monkeypatch):
+    # the walk is the slow path, for unsound circuits only
+    def walk(c):
+        raise AssertionError(f"walked the sound circuit {c.name}")
+
+    monkeypatch.setattr(revmap.ir, "_walk", walk)
+    for c in sound_samples():
+        assert _sound_driver(c)[1], c.name
+        assert _NetIndex(c).violations == ()
+        if c._index.cycle is None:
+            p = insert_copiers(c)
+            plain = IrCircuit(p.name, p.inputs, p.outputs, p.gates)
+            assert _NetIndex(plain).violations == ()
+
+
 # ------------------------------------------- set checks against the walk
 
 
 def walk_finds_nothing(c):
-    found, driver = _walk(c)
-    return not found and all(n in driver for g in c.gates for n in g.inputs)
+    driven = {*c.inputs, *(n for g in c.gates for n in g.outputs)}
+    return not _walk(c) and all(n in driven for g in c.gates for n in g.inputs)
 
 
 def set_checks_pass(c):
@@ -170,10 +199,11 @@ def set_checks_pass(c):
 
 NAMES = ["", " a", "a b", "a\tb", "a\nb", "a\u00a0b", "\u2003", "a\x1cb",
          "a\x1c", None, "a[3]", "n$1", "\u00fc", "a\u200bb", "a", "b", "y",
-         "w0", "zz"]
+         "w0", "zz", 5, 1.5, (1,), b"a"]
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES, ids=lambda name: repr(name)
+                         if isinstance(name, bytes) else None)
 def test_set_checks_judge_each_name_like_the_walk(name):
     for c in (
         IrCircuit("m", (name,), (name,)),

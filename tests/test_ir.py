@@ -105,6 +105,10 @@ def test_whitespace_name_rejected():
         ("n$1", False),
         ("\u00fc", False),
         ("a\u200bb", False),  # zero-width space is not whitespace
+        (5, True),  # a name that is not a str
+        (1.5, True),
+        ((1,), True),
+        (b"a", True),
     ],
 )
 def test_name_rule(name, bad):
