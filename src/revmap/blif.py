@@ -41,9 +41,10 @@ _REJECTED_DIRECTIVES = (".latch", ".subckt", ".gate", ".exdc", ".clock")
 _PATTERNS = {n: frozenset(map("".join, product("01-", repeat=n))) for n in (1, 2)}
 
 # The verdict of classify_cover on each cover spelling classified so far,
-# keyed by (n_inputs, rows).  Only covers of at most four rows are kept,
-# and at most 1104 of those are supported functions, so no input can grow
-# the table past that; a cover that classify_cover rejects is never kept.
+# keyed by (n_inputs, rows), the rows spelled as write_intermediate writes
+# them (see _cover_kind).  Only covers of at most four rows are kept, and at
+# most 1104 of those are supported functions, so no input can grow the
+# table past that; a cover that classify_cover rejects is never kept.
 _KNOWN_COVERS = {}
 _UNKNOWN = object()
 
@@ -109,7 +110,127 @@ def _logical_lines(text):
     return lines
 
 
+# What makes the line reader start, join or drop a line other than at a
+# plain "\n": a comment, a continuation, and every other line break that
+# str.splitlines honours
+_LINE_BREAKERS = ("#", "\\", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                  "\x85", "\u2028", "\u2029")
+
+
 def _parse(text, allow_copy):
+    read = _read_blocks(text, allow_copy) or _read_lines(text, allow_copy)
+    return _resolve_aliases(*read)
+
+
+def _read_blocks(text, allow_copy):
+    """Read well-formed text a directive block at a time, or return None.
+
+    Without the characters of _LINE_BREAKERS, each logical line is one
+    "\n"-ended line, so every directive opens a block at a "\n.", and a
+    .names block holds its head and its cover rows.  What this reads, it
+    reads as _read_lines would, and it returns the same pair.  On anything
+    else it returns None, for _read_lines to read the text and raise its
+    error: text before the first directive or after .end, a directive
+    line that starts with whitespace or that is unknown, rejected or
+    malformed, a bad cover row or an unsupported cover, a second driver
+    for a buffer's net.
+    """
+    if text[:1] != "." or any(map(text.__contains__, _LINE_BREAKERS)):
+        return None
+    model = None
+    inputs = []
+    outputs = []
+    gates = []
+    aliases = {}
+    ended = False
+    append = gates.append
+    known = _KNOWN_COVERS.get
+    for block in text[1:].split("\n."):
+        head, _, cover = block.partition("\n")
+        tokens = head.split()
+        if ended or not tokens or head[0].isspace():
+            return None
+        directive = tokens[0]
+        if directive == "names":  # the most frequent directive, tested first
+            n = len(tokens) - 2
+            if n == 2:
+                ins = (tokens[1], tokens[2])
+            elif n == 1:
+                ins = (tokens[1],)
+            else:
+                return None
+            out = tokens[-1]
+            # a cover as write_intermediate spells it is its own key
+            kind = known((n, cover), _UNKNOWN)
+            if kind is _UNKNOWN:
+                kind = _block_cover(n, cover, out)
+                if kind is _UNKNOWN:
+                    return None
+            if kind is not None:
+                append(IrGate(kind, ins, (out,)))
+            elif out in aliases:
+                return None
+            else:
+                aliases[out] = ins[0]
+        elif cover and not cover.isspace():
+            return None  # a second line under a one-line directive
+        elif directive == "inputs":
+            inputs += tokens[1:]
+        elif directive == "outputs":
+            outputs += tokens[1:]
+        elif directive == "copy":
+            if not allow_copy or len(tokens) != 4:
+                return None
+            append(IrGate(IrGateKind.COPY, (tokens[1],), (tokens[2], tokens[3])))
+        elif directive == "model":
+            if model is not None or len(tokens) != 2:
+                return None
+            model = tokens[1]
+        elif directive == "end":
+            ended = True
+        else:
+            return None
+    return _circuit(model, inputs, outputs, gates), aliases
+
+
+def _block_cover(n_inputs, cover, out):
+    """The verdict on a .names block's cover text, _UNKNOWN if it is bad."""
+    rows = [row for row in map(str.split, cover.split("\n")) if row]
+    patterns = _PATTERNS[n_inputs]
+    for row in rows:
+        if len(row) != 2 or row[0] not in patterns or row[1] not in ("0", "1"):
+            return _UNKNOWN
+    try:
+        return _cover_kind(n_inputs, rows, out)
+    except UnsupportedError:
+        return _UNKNOWN
+
+
+def _cover_kind(n_inputs, rows, out):
+    """classify_cover's verdict on well-formed rows, kept in _KNOWN_COVERS.
+
+    The key is the rows as write_intermediate spells them, one
+    "<pattern> <bit>" a line, which _read_blocks looks up as it reads.
+    """
+    key = (n_inputs, "\n".join(map(" ".join, rows)))
+    kind = _KNOWN_COVERS.get(key, _UNKNOWN)
+    if kind is _UNKNOWN:
+        kind = classify_cover(rows, n_inputs, subject=f"gate '{out}'")
+        if len(rows) <= 4:
+            _KNOWN_COVERS[key] = kind
+    return kind
+
+
+def _circuit(model, inputs, outputs, gates):
+    return IrCircuit(model or "top", tuple(inputs), tuple(outputs), tuple(gates))
+
+
+def _read_lines(text, allow_copy):
+    """Read text a logical line at a time; return (circuit, buffer aliases).
+
+    The circuit's names are as written: _resolve_aliases renames the
+    buffers' outputs.  Every syntax error of the dialect is raised here.
+    """
     model = None
     inputs = []
     outputs = []
@@ -160,10 +281,7 @@ def _parse(text, allow_copy):
         else:
             raise BlifError(f"unknown directive {head}", lineno)
 
-    return _resolve_aliases(
-        IrCircuit(model or "top", tuple(inputs), tuple(outputs), tuple(gates)),
-        aliases,
-    )
+    return _circuit(model, inputs, outputs, gates), aliases
 
 
 def _parse_names(lines, pos, gates, aliases):
@@ -198,12 +316,7 @@ def _parse_names(lines, pos, gates, aliases):
         rows.append((pattern, bit))
         pos += 1
 
-    key = (len(ins), tuple(rows))
-    kind = _KNOWN_COVERS.get(key, _UNKNOWN)
-    if kind is _UNKNOWN:
-        kind = classify_cover(rows, len(ins), subject=f"gate '{out}'")
-        if len(rows) <= 4:
-            _KNOWN_COVERS[key] = kind
+    kind = _cover_kind(len(ins), rows, out)
     if kind is None:
         # a gate driving the same net is caught by _resolve_aliases
         if out in aliases:
@@ -251,6 +364,25 @@ def _resolve_aliases(c, aliases):
                     f"'{net}' after buffer aliasing; one net cannot be two outputs"
                 )
     resolved = IrCircuit(c.name, c.inputs, outputs, gates)
+    repeated = []  # each repeat of a name in .outputs, in order
+    if len(outputs) > len(set(outputs)):
+        seen = set()
+        for name in c.outputs:
+            if name in seen:
+                repeated.append(name)
+            seen.add(name)
+
+    def violations():
+        # validate_circuit names a repeated output by its net; name it as
+        # .outputs writes it.  No parsed name is bad, so the violations
+        # open with the repeats in .inputs, then those in .outputs.
+        found = validate_circuit(resolved)
+        start = len(c.inputs) - len(set(c.inputs))
+        found[start:start + len(repeated)] = [
+            Violation("duplicate-name", name) for name in repeated
+        ]
+        return found
+
     # A buffer that nothing reads leaves no trace in the circuit, so its
     # chain is resolved here: a cycle is rejected as above, and an undriven
     # root is listed after the circuit's violations, as a read one would be.
@@ -259,7 +391,9 @@ def _resolve_aliases(c, aliases):
         read = {net for g in gates for net in g.inputs}.union(resolved.outputs)
         lost = [Violation("undriven-input", r) for r in roots if r not in read]
         if lost:
-            raise ValidationError(validate_circuit(resolved) + lost)
+            raise ValidationError(violations() + lost)
+    if not aliases.keys().isdisjoint(repeated):
+        raise ValidationError(violations())
     return resolved
 
 

@@ -189,6 +189,11 @@ class RevGate:
 
 _set_controls, _set_target = RevGate.controls.__set__, RevGate.target.__set__
 
+# the same setters, for a reader that builds RevGates without a Python
+# frame each: only gates on at most two controls and distinct lines that
+# exist, so that every rule of RevGate.__init__ holds without its checks
+_REV_GATE_SETTERS = (_set_controls, _set_target)
+
 
 def t1(target):
     return RevGate((), target)
@@ -417,16 +422,24 @@ class _NetIndex:
         pending = []  # per gate, how many of its inputs other gates drive
         readers = [[] for _ in gates]  # per gate, the gates reading it
         get = driver.get
-        for i, g in enumerate(gates):
-            n = 0
-            for name in g.inputs:
-                d = get(name, undriven)  # undriven: a sentinel no position equals
-                if d is undriven:
-                    undriven.append(name)
-                elif d is not None:
-                    readers[d].append(i)
-                    n += 1
-            pending.append(n)
+        try:
+            for i, g in enumerate(gates):
+                n = 0
+                for name in g.inputs:
+                    # undriven serves as a sentinel that no position equals
+                    d = get(name, undriven)
+                    if d is undriven:
+                        undriven.append(name)
+                    elif d is not None:
+                        readers[d].append(i)
+                        n += 1
+                pending.append(n)
+        except TypeError:  # an unhashable name, which _walk reports as bad
+            sound = False
+            undriven = [
+                name for g in gates for name in g.inputs
+                if _key(name) not in driver
+            ]
         self.driver = driver
         self.order = self.level = self.cycle = None
         if not sound or undriven:
@@ -474,32 +487,51 @@ def _sound_driver(c):
     no name is empty or holds whitespace.  Every name such a circuit
     mentions is a key of the map, so the keys are checked for whitespace
     in one search of their concatenation.  A name that is not a str makes
-    the concatenation fail and the circuit unsound here, so that _walk
-    judges it.
+    the concatenation, or a set of the .outputs, fail and the circuit
+    unsound here, so that _walk judges it; the map then holds each
+    unhashable name as its _key.
     """
     inputs, outputs = c.inputs, c.outputs
-    driver = dict.fromkeys(inputs)
-    size = len(inputs)
-    arity = True
-    for i, g in enumerate(c.gates):
-        outs, kind = g.outputs, g.kind
-        if len(g.inputs) != kind.n_inputs or len(outs) != kind.n_outputs:
-            arity = False
-        size += len(outs)
-        for name in outs:
-            driver[name] = i
+    try:
+        driver = dict.fromkeys(inputs)
+        size = len(inputs)
+        arity = True
+        for i, g in enumerate(c.gates):
+            outs, kind = g.outputs, g.kind
+            if len(g.inputs) != kind.n_inputs or len(outs) != kind.n_outputs:
+                arity = False
+            size += len(outs)
+            for name in outs:
+                driver[name] = i
+    except TypeError:  # an unhashable name
+        driver = dict.fromkeys(map(_key, inputs))
+        for i, g in enumerate(c.gates):
+            for name in g.outputs:
+                driver[_key(name)] = i
+        return driver, False
     try:
         joined = "".join(driver)
-    except TypeError:
+        return driver, (
+            arity
+            and len(driver) == size
+            and len(set(outputs)) == len(outputs)
+            and all(map(driver.__contains__, outputs))
+            and "" not in driver
+            and not _WHITESPACE.search(joined)
+        )
+    except TypeError:  # a name that is not a str
         return driver, False
-    return driver, (
-        arity
-        and len(driver) == size
-        and len(set(outputs)) == len(outputs)
-        and all(map(driver.__contains__, outputs))
-        and "" not in driver
-        and not _WHITESPACE.search(joined)
-    )
+
+
+def _key(name):
+    """name as a set or map key: itself, or if it is unhashable, a fresh
+    object, which equals no other key, so that the name is never a repeat
+    and never driven."""
+    try:
+        hash(name)
+    except TypeError:
+        return object()
+    return name
 
 
 def _walk(c):
@@ -519,11 +551,12 @@ def _walk(c):
     for seq in (c.inputs, c.outputs):
         seen = set()
         for name in seq:
-            if name in seen:
+            key = _key(name)
+            if key in seen:
                 found.append(Violation("duplicate-name", name))
-            seen.add(name)
+            seen.add(key)
 
-    driven = set(c.inputs)
+    driven = set(map(_key, c.inputs))
     for i, g in enumerate(c.gates):
         ins, outs, kind = g.inputs, g.outputs, g.kind
         for name in (*ins, *outs):
@@ -532,15 +565,16 @@ def _walk(c):
             found.append(Violation("bad-arity", f"g{i} ({kind.value})"))
         seen = set()
         for name in outs:
-            if name in seen:
+            key = _key(name)
+            if key in seen:
                 found.append(Violation("duplicate-name", name))
-            seen.add(name)
-            if name in driven:
+            seen.add(key)
+            if key in driven:
                 found.append(Violation("multiple-drivers", name))
             else:
-                driven.add(name)
+                driven.add(key)
 
     for name in c.outputs:
-        if name not in driven:
+        if _key(name) not in driven:
             found.append(Violation("undriven-output", name))
     return found

@@ -19,7 +19,7 @@ from itertools import count
 
 from .blif import _tokens
 from .errors import RealFormatError, UnsupportedError
-from .ir import Line, RevCircuit, RevGate
+from .ir import _REV_GATE_SETTERS, Line, RevCircuit, RevGate
 
 
 def _output_labels(lines):
@@ -86,7 +86,8 @@ def parse_real(text):
     in_body = False
 
     split = _tokens if "#" in text else str.split
-    rows = enumerate(text.splitlines(), start=1)
+    raws = text.splitlines()
+    rows = enumerate(raws, start=1)
     for lineno, raw in rows:
         tokens = split(raw)
         if not tokens:
@@ -112,11 +113,16 @@ def parse_real(text):
     width = header.get(".numvars")
     variables = header.get(".variables")
 
-    # Each row is parsed as it is read, against the header read so far.  The
-    # first bad row is kept and raised only after the checks below on the
-    # body's end and on the header, which take precedence over it.
     index_of = {name: i for i, name in enumerate(variables or ())}
     gates = []
+    if in_body:
+        gates = _plain_gates(map(split, raws[lineno:]), index_of)
+        start = lineno + len(gates)
+        rows = enumerate(raws[start:], start=start + 1)
+
+    # Every other row is parsed as it is read, against the header read so
+    # far.  The first bad row is kept and raised only after the checks below
+    # on the body's end and on the header, which take precedence over it.
     append = gates.append
     bad_gate = None
     ended = False
@@ -198,6 +204,52 @@ def parse_real(text):
         return RevCircuit("", lines, tuple(gates))
     except ValueError as exc:
         raise RealFormatError(str(exc)) from None
+
+
+def _plain_gates(rows, index_of):
+    """The RevGates of the leading rows that are plain gates, as write_real
+    spells them, on distinct lines that index_of knows.
+
+    rows holds each row's tokens.  The gates are built without a Python
+    frame each, as RevGate's rules hold for them by construction.  The
+    first other row ends the list, and parse_real's checked loop reads it
+    and every row after it.
+    """
+    gates = []
+    append = gates.append
+    new = object.__new__
+    set_controls, set_target = _REV_GATE_SETTERS
+    try:
+        for tokens in rows:
+            n = len(tokens)
+            if n == 3:
+                head, a, target = tokens
+                if head != "t2":
+                    break
+                a, target = index_of[a], index_of[target]
+                if a == target:
+                    break
+                controls = (a,)
+            elif n == 4:
+                head, a, b, target = tokens
+                if head != "t3":
+                    break
+                a, b, target = index_of[a], index_of[b], index_of[target]
+                if a == b or a == target or b == target:
+                    break
+                controls = (a, b)
+            elif n == 2 and tokens[0] == "t1":
+                target = index_of[tokens[1]]
+                controls = ()
+            else:
+                break
+            gate = new(RevGate)
+            set_controls(gate, controls)
+            set_target(gate, target)
+            append(gate)
+    except KeyError:
+        pass  # an unknown line, which the checked loop reports
+    return gates
 
 
 def _word(tokens, alphabet, lineno):

@@ -187,19 +187,28 @@ def test_a_sound_circuit_never_reaches_the_walk(monkeypatch):
 # ------------------------------------------- set checks against the walk
 
 
+def is_key(name, names):
+    try:
+        return name in names
+    except TypeError:  # an unhashable name is never a key
+        return False
+
+
 def walk_finds_nothing(c):
+    if _walk(c):
+        return False
     driven = {*c.inputs, *(n for g in c.gates for n in g.outputs)}
-    return not _walk(c) and all(n in driven for g in c.gates for n in g.inputs)
+    return all(n in driven for g in c.gates for n in g.inputs)
 
 
 def set_checks_pass(c):
     driver, sound = _sound_driver(c)
-    return sound and all(n in driver for g in c.gates for n in g.inputs)
+    return sound and all(is_key(n, driver) for g in c.gates for n in g.inputs)
 
 
 NAMES = ["", " a", "a b", "a\tb", "a\nb", "a\u00a0b", "\u2003", "a\x1cb",
          "a\x1c", None, "a[3]", "n$1", "\u00fc", "a\u200bb", "a", "b", "y",
-         "w0", "zz", 5, 1.5, (1,), b"a"]
+         "w0", "zz", 5, 1.5, (1,), b"a", ["a"]]
 
 
 @pytest.mark.parametrize("name", NAMES, ids=lambda name: repr(name)
