@@ -34,8 +34,6 @@ from .ir import (
     NetRecord,
     RevCircuit,
     RevGate,
-    Slot,
-    SlottedCircuit,
     build_netlist,
     check_circuit,
     detect_cycles,
@@ -55,7 +53,7 @@ from .sim import (
     gen_random_circuit,
     stats,
 )
-from .slotting import slot_circuit
+from .slotting import Slot, SlottedCircuit, slot_circuit
 from .templates import Role, template_for
 
 __version__ = "0.1.0"

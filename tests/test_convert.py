@@ -1,5 +1,7 @@
 """Gate-by-gate conversion: frozen outputs, trace replay, edge cases."""
 
+import sys
+
 import pytest
 
 from revmap import (
@@ -191,3 +193,23 @@ def test_fanout_heavy_circuit_converts():
     assert check_equivalence(c, rev).equivalent
     # every original PI still owns the first lines
     assert [ln.name for ln in rev.lines[:2]] == ["a", "b"]
+
+
+def test_convert_runs_no_python_hash_per_gate():
+    # the per-kind plans are looked up by kind once per gate: a Python
+    # __hash__ (as Enum's own) would add a frame to every one of them
+    s = slot_circuit(insert_copiers(gen_random_circuit(7, 6, 200)))
+    hashed = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            hashed.append(frame.f_code.co_filename)
+
+    sys.setprofile(record)
+    try:
+        convert_circuit(s)
+        convert_circuit(s, restore_controls=False)
+    finally:
+        sys.setprofile(None)
+    assert hashed == []
+    assert {IrGateKind.AND: 1}[IrGateKind("and")] == 1

@@ -1,18 +1,31 @@
 """Levelization: the worked example, invariants, and a longest-path oracle."""
 
+import dataclasses
+import pickle
+import tracemalloc
+
 import pytest
 
+import revmap.slotting as slotting
 from revmap import (
     FanoutError,
     IrCircuit,
     IrGate,
     IrGateKind,
+    NetRecord,
+    Slot,
+    SlottedCircuit,
     UnsupportedError,
+    convert_circuit,
     gen_random_circuit,
     insert_copiers,
     parse_blif,
     slot_circuit,
+    write_intermediate,
 )
+from revmap.cli import main
+from revmap.convert import conversion_trace
+from revmap.fanout import fanout_report
 from samples import HALF_ADDER_BLIF, pipeline
 
 K = IrGateKind
@@ -167,3 +180,102 @@ def test_final_net_set_equals_outputs():
         s = slot_circuit(c)
         assert set(s.slots[-1].nets) == set(c.outputs)
         assert s.slots[0].nets == c.inputs
+
+
+# ------------------------------------------------- nets listed on first read
+
+
+def test_slot_nets_are_listed_in_one_walk_on_first_read(monkeypatch):
+    walks = []
+    walk = slotting._NetWalk.listed.func
+    monkeypatch.setattr(slotting._NetWalk.listed, "func",
+                        lambda self: walks.append(self) or walk(self))
+    c = insert_copiers(gen_random_circuit(3, 4, 30))
+    s = slot_circuit(c)
+    convert_circuit(s)
+    conversion_trace(s)
+    assert len(s.slots) > 2 and all(slot.gates for slot in s.slots[1:])
+    assert walks == []
+    assert s.slots[2].nets
+    listed = [slot.nets for slot in s.slots]
+    assert len(walks) == 1
+    assert set(listed[-1]) == set(c.outputs)
+
+
+def test_slots_of_slot_circuit_are_plain_slots():
+    # before and after their nets are read, slot_circuit's slots compare,
+    # hash, print, pickle and copy as the Slots a caller would build
+    c = insert_copiers(gen_random_circuit(5, 5, 40))
+    twins = [Slot(slot.gates, slot.nets) for slot in slot_circuit(c).slots]
+    for fresh in (slot_circuit(c) for _ in range(3)):
+        slots = fresh.slots
+        assert [pickle.loads(pickle.dumps(slot)) for slot in slots] == twins
+        assert [dataclasses.replace(slot) for slot in slots] == twins
+        assert list(slots) == twins
+        assert [hash(slot) for slot in slots] == [hash(twin) for twin in twins]
+        assert [repr(slot) for slot in slots] == [repr(twin) for twin in twins]
+        assert fresh == SlottedCircuit(c, tuple(twins))
+    slot = slot_circuit(c).slots[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        slot.nets = ()
+    with pytest.raises(AttributeError, match="'Slot' object has no attribute 'net'"):
+        slot.net
+
+
+def wide_fanout(n):
+    """One input read by n NOT gates, each output a primary output."""
+    return IrCircuit("wide", ("a",), tuple(f"y{k}" for k in range(n)), tuple(
+        IrGate(K.NOT, ("a",), (f"y{k}",)) for k in range(n)))
+
+
+def compile_peak(c):
+    """The tracemalloc peak of fanout removal, slotting and conversion."""
+    tracemalloc.start()
+    try:
+        convert_circuit(slot_circuit(insert_copiers(c)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_fanout_memory_grows_linearly():
+    # the copier chain makes n + 1 slots; holding every slot's nets would
+    # take n^2 / 2 names, 16x the memory for a 4x wider fanout
+    small, large = compile_peak(wide_fanout(1000)), compile_peak(wide_fanout(4000))
+    assert large / small < 6
+
+
+def test_wide_fanout_converts_and_verifies(tmp_path, capsys):
+    n = 20000
+    blif, real = tmp_path / "wide.blif", tmp_path / "wide.real"
+    blif.write_text(write_intermediate(wide_fanout(n)))
+    assert main(["convert", str(blif), "-o", str(real)]) == 0
+    assert main(["verify", str(blif), str(real)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("status=Equivalent checked=2 ")
+    assert f"bijectivity=skipped lines={n} " in out
+
+
+def test_convert_builds_few_net_records_and_no_slot_nets(tmp_path, monkeypatch, capsys):
+    # fanout removal builds a NetRecord only for each net that fans out,
+    # and no slot's nets are listed unless something reads them
+    blif, real = tmp_path / "rand.blif", tmp_path / "rand.real"
+    c = gen_random_circuit(8, 6, 60)
+    blif.write_text(write_intermediate(c))
+    fanned = len(fanout_report(c))
+    assert fanned > 3
+    built = []
+    init = NetRecord.__init__
+
+    def counted(self, net, source, sinks):
+        built.append(net)
+        init(self, net, source, sinks)
+
+    def refuse(self):
+        raise AssertionError("the slots' nets were listed")
+
+    monkeypatch.setattr(NetRecord, "__init__", counted)
+    monkeypatch.setattr(slotting._NetWalk, "listed", property(refuse))
+    for extra in ([], ["--trace"], ["--no-restore-controls"]):
+        assert main(["convert", str(blif), "-o", str(real), *extra]) == 0
+    assert len(built) == 3 * fanned
