@@ -16,7 +16,6 @@ identity; it emits no gate and instead aliases the output name to the
 input name everywhere downstream, including in .outputs.
 """
 
-import re
 from itertools import product
 
 from .errors import BlifError, UnsupportedError, ValidationError
@@ -111,49 +110,32 @@ def _logical_lines(text):
     return lines
 
 
-# every line break that str.splitlines honours but "\n"
-_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
-                "\u2029")
-_COMMENT = re.compile(r"#[^\n]*")
+# What makes the line reader start, join or drop a line other than at a
+# plain "\n": a comment, a continuation, and every other line break that
+# str.splitlines honours
+_LINE_BREAKERS = ("#", "\\", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                  "\x85", "\u2028", "\u2029")
 
 
 def _parse(text, allow_copy):
-    read = _read_blocks(_plain_lines(text), allow_copy)
-    return _resolve_aliases(*(read or _read_lines(text, allow_copy)))
-
-
-def _plain_lines(text):
-    """text with the tokens of its logical lines, each line ended by "\n"
-    and without its comment, or None if a line is continued.
-
-    Without a continuation, a logical line is a line of str.splitlines
-    with its comment cut off, so each line break can become "\n" and each
-    comment go, and the lines keep their tokens.  Only where a line number
-    is reported does the count of lines matter, and _read_lines, which
-    reports them, reads the original text.
-    """
-    if "\\" in text:
-        return None
-    if any(map(text.__contains__, _LINE_BREAKS)):
-        text = "\n".join(text.splitlines())
-    if "#" in text:
-        text = _COMMENT.sub("", text)
-    return text.lstrip()
+    read = _read_blocks(text, allow_copy) or _read_lines(text, allow_copy)
+    return _resolve_aliases(*read)
 
 
 def _read_blocks(text, allow_copy):
-    """Read _plain_lines' text a directive block at a time, or return None.
+    """Read well-formed text a directive block at a time, or return None.
 
-    Each logical line is one "\n"-ended line, so every directive opens a
-    block at a "\n.", and a .names block holds its head and its cover
-    rows.  What this reads, it reads as _read_lines would, and it returns
-    the same pair.  On anything else it returns None, for _read_lines to
-    read the original text and raise its error: text before the first
-    directive or after .end, a directive line that starts with whitespace
-    or that is unknown, rejected or malformed, a bad cover row or an
-    unsupported cover, a second driver for a buffer's net.
+    Without the characters of _LINE_BREAKERS, each logical line is one
+    "\n"-ended line, so every directive opens a block at a "\n.", and a
+    .names block holds its head and its cover rows.  What this reads, it
+    reads as _read_lines would, and it returns the same pair.  On anything
+    else it returns None, for _read_lines to read the text and raise its
+    error: text before the first directive or after .end, a directive
+    line that starts with whitespace or that is unknown, rejected or
+    malformed, a bad cover row or an unsupported cover, a second driver
+    for a buffer's net.
     """
-    if text is None or text[:1] != ".":
+    if text[:1] != "." or any(map(text.__contains__, _LINE_BREAKERS)):
         return None
     model = None
     inputs = []

@@ -45,8 +45,8 @@ def convert_circuit(s, restore_controls=True):
     # pairs, and one carrier entry per constant line it adds
     plans = {}
 
-    for slot in s.slots[1:]:
-        for gi in slot.gates:
+    for wave in s._waves:
+        for gi in wave:
             gate = c.gates[gi]
             plan = plans.get(gate.kind)
             if plan is None:
@@ -95,8 +95,8 @@ def conversion_trace(s, restore_controls=True):
     c = s.circuit
     trace = []
     next_line = len(c.inputs)
-    for slot_no, slot in enumerate(s.slots[1:], start=1):
-        for gi in slot.gates:
+    for slot_no, wave in enumerate(s._waves, start=1):
+        for gi in wave:
             kind = c.gates[gi].kind
             added = len(template_for(kind, restore_controls).constants)
             new_lines = tuple(range(next_line, next_line + added))

@@ -14,10 +14,6 @@ name may move) and is rejected.
 
 Copier chains sit immediately after the driving gate, or before all gates
 for nets driven by primary inputs.
-
-Only the nets with two or more sinks are visited: build_netlist lists
-their sinks alone, in the driver map's order, and builds no record for
-any other net.
 """
 
 from .errors import FeedbackError, UnsupportedError
@@ -50,7 +46,7 @@ def insert_copiers(c):
     is sound by construction: it comes with a derived netlist index, and
     validating or slotting it builds none.
     """
-    records = build_netlist(c, fanout_only=True)
+    records = build_netlist(c)
     if c._index.cycle is not None:
         raise FeedbackError(c._index.cycle)
     gates = c.gates
@@ -61,18 +57,18 @@ def insert_copiers(c):
     renamed = [None] * len(gates)
     chains = {}  # driving gate (None for primary inputs) -> its copiers
     COPY = IrGateKind.COPY
-    # the records of the nets with two or more sinks come in the driver
-    # map's order, the primary inputs and then each gate's outputs, so fresh
-    # names are allocated in that order; they need only avoid c's own nets,
-    # the driver map's keys, as the names drawn for two nets <a> and <b>
-    # (<a>__cp, a number, underscores) never meet
-    nets = c._index.driver.keys()
-    for net, rec in records.items():
-        source, sinks = rec.source, rec.sinks
+    # the driver map lists the primary inputs, then each gate's outputs, so
+    # fresh names are allocated in that order; they need only avoid c's own
+    # nets, as the names drawn for two nets <a> and <b> (<a>__cp, a number,
+    # underscores) never meet
+    for net, source in c._index.driver.items():
+        sinks = records[net].sinks
+        if len(sinks) < 2:
+            continue
         # copier j reads carry j (for j = 0 the net, or the name its driver
         # yields instead) and yields names[2j] for sink j and names[2j + 1]
         # as carry j + 1; the last sink reads the last carry
-        names = _fresh_names(f"{net}__cp", nets, 2 * len(sinks) - 2)
+        names = _fresh_names(f"{net}__cp", records.keys(), 2 * len(sinks) - 2)
         carry = net
         if sinks[0] == PO_SINK:
             if source is None:

@@ -17,25 +17,22 @@ _NetIndex, memoized on the circuit as its _index.  The memo is sound
 because IrCircuit and IrGate turn their sequence fields into tuples when
 built, so nothing the index was built from can change.  validate_circuit,
 check_circuit and detect_cycles are views of it; build_netlist takes only
-the driver map from it and gathers the sinks itself: of every net, or,
-for fanout removal, of each net read twice or more, whose reads it
-tallies without a Python frame per gate input before it walks only the
-gates that read such a net.  Only this module builds an index or its
-driver map.  An index is fresh or derived.  A circuit read from a file,
-or built by a caller, gets a fresh one on first use: set checks decide
-whether it is sound, and the ordered walk that lists the violations runs
-only when one of them fails.  The circuit that insert_copiers builds is
-sound by construction and gets a derived index from _derive_index, which
-checks nothing, so its first validation is already a lookup.
+the driver map from it and walks the gates itself for each net's sinks.
+Only this module builds an index or its driver map.  An index is fresh or
+derived.  A circuit read from a file, or built by a caller, gets a fresh
+one on first use: set checks decide whether it is sound, and the ordered
+walk that lists the violations runs only when one of them fails.  The
+circuit that insert_copiers builds is sound by construction and gets a
+derived index from _derive_index, which checks nothing, so its first
+validation is already a lookup.
 """
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count
-from operator import attrgetter, not_
+from itertools import chain
+from operator import attrgetter
 
 from .errors import ValidationError
 
@@ -325,26 +322,14 @@ def check_circuit(c):
         raise ValidationError(found)
 
 
-_inputs = attrgetter("inputs")
-
-
-def build_netlist(c, fanout_only=False):
-    """Map every net to its NetRecord, or with fanout_only only each net
-    with two or more sinks.
+def build_netlist(c):
+    """Map every net to its NetRecord.
 
     Records appear in definition order: primary inputs, then nets first
-    referenced by .outputs, then nets first referenced by gates.  With
-    fanout_only they appear in the driver map's order, primary inputs and
-    then each gate's outputs.  The circuit must validate.
+    referenced by .outputs, then nets first referenced by gates.  The
+    circuit must validate.
     """
     check_circuit(c)
-    driver = c._index.driver
-    if fanout_only:
-        fanned = _fanout_sinks(c)
-        return {
-            net: NetRecord(net, driver[net], tuple(fanned[net]))
-            for net in filter(fanned.__contains__, driver)
-        }
     sinks = {net: [] for net in c.inputs}
     for net in c.outputs:
         sinks.setdefault(net, []).append(PO_SINK)
@@ -359,31 +344,8 @@ def build_netlist(c, fanout_only=False):
         for net in g.outputs:
             if net not in sinks:
                 sinks[net] = []
+    driver = c._index.driver
     return {net: NetRecord(net, driver[net], tuple(s)) for net, s in sinks.items()}
-
-
-def _fanout_sinks(c):
-    """Map each net read two or more times, a name in .outputs counting
-    once, to its sinks in NetRecord's order.
-
-    The reads are tallied, and the gates that read such a net found, in
-    C; only those gates' inputs are walked in Python.
-    """
-    gates = c.gates
-    reads = Counter(c.outputs)
-    reads.update(chain.from_iterable(map(_inputs, gates)))
-    sinks = {net: [] for net, n in reads.items() if n > 1}
-    for net in c.outputs:
-        if net in sinks:
-            sinks[net].append(PO_SINK)
-    get = sinks.get
-    readers = map(not_, map(sinks.keys().isdisjoint, map(_inputs, gates)))
-    for i in compress(count(), readers):
-        for pin, net in enumerate(gates[i].inputs):
-            found = get(net)
-            if found is not None:
-                found.append((i, pin))
-    return sinks
 
 
 def detect_cycles(c):
@@ -433,8 +395,7 @@ class _NetIndex:
     violations, in their documented order.  A derived one,
     _NetIndex(c, driver), is given the driver map of a circuit that is
     sound by construction (see _derive_index) and checks nothing.  Both
-    place the gates with the same readers and Kahn passes.  Neither keeps
-    a net's sinks: only build_netlist lists them, for the nets asked.
+    place the gates with the same readers and Kahn passes.
     """
 
     __slots__ = ("violations", "driver", "order", "level", "cycle")

@@ -11,15 +11,16 @@ gates' outputs first, then the nets of the previous slot that they did
 not consume, in the previous slot's order.  Nets nobody will ever read
 (unused primary inputs, dangling gate outputs that are not primary
 outputs) are left out; slot 0 still lists every primary input.  The last
-slot therefore lists exactly the primary outputs.  Only the gates are
-found when slotting: conversion reads nothing else, and the nets of
-every slot, which together grow with the square of a wide fanout's
-width, are listed in one walk on the first read of any slot's nets.
+slot therefore lists exactly the primary outputs.  Together the slots'
+nets grow with the square of a wide fanout's width, and conversion reads
+only the gates, so slot_circuit finds only each slot's gates, its waves:
+the slots, with their nets, are built on the first read of
+SlottedCircuit.slots.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain
 from operator import attrgetter
 
 from .errors import FanoutError, UnsupportedError
@@ -28,7 +29,7 @@ from .ir import IrCircuit, build_netlist, detect_cycles
 _inputs = attrgetter("inputs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """One level of the slotted circuit.
 
@@ -39,25 +40,32 @@ class Slot:
     gates: tuple[int, ...]
     nets: tuple[str, ...]
 
-    def __getattr__(self, name):
-        # a slot that slot_circuit built holds, until its nets are first
-        # read, the walk that lists them and its own number in their place
-        attrs = self.__dict__
-        pending = attrs.get("_pending")
-        if name != "nets" or pending is None:
-            raise AttributeError(f"'Slot' object has no attribute {name!r}")
-        walk, k = pending
-        attrs["nets"] = nets = walk.listed[k - 1]
-        del attrs["_pending"]
-        return nets
-
 
 @dataclass(frozen=True)
 class SlottedCircuit:
-    """A fanout-free circuit and its slots, slot 0 first."""
+    """A fanout-free circuit and its slots, slot 0 first.
+
+    _waves holds the gates of every slot after slot 0.  slot_circuit's
+    circuits are given only their waves, and build their slots on the
+    first read.
+    """
 
     circuit: IrCircuit
     slots: tuple[Slot, ...]
+
+    @cached_property
+    def _waves(self):
+        return tuple(slot.gates for slot in self.slots[1:])
+
+    def __getattr__(self, name):
+        # called only for what the instance lacks: the slots of one that
+        # slot_circuit built, until they are first read
+        attrs = self.__dict__
+        if name != "slots" or "_waves" not in attrs:
+            raise AttributeError(
+                f"'SlottedCircuit' object has no attribute {name!r}"
+            )
+        return attrs.setdefault("slots", _slots(self.circuit, attrs["_waves"]))
 
 
 def slot_circuit(c):
@@ -81,42 +89,27 @@ def slot_circuit(c):
     waves = [[] for _ in range(max(level, default=0))]
     for i, k in enumerate(level):
         waves[k - 1].append(i)
-    waves = list(map(tuple, waves))
-    later = map(_wave_slot, waves, repeat(_NetWalk(c, waves)), count(1))
-    return SlottedCircuit(c, (Slot((), c.inputs), *later))
+    s = object.__new__(SlottedCircuit)
+    s.__dict__.update(circuit=c, _waves=tuple(map(tuple, waves)))
+    return s
 
 
-def _wave_slot(gates, walk, k):
-    """Slot k, whose nets walk lists on their first read."""
-    slot = object.__new__(Slot)
-    slot.__dict__.update(gates=gates, _pending=(walk, k))
-    return slot
-
-
-class _NetWalk:
-    """The nets of every slot after slot 0, listed on the first read."""
-
-    def __init__(self, c, waves):
-        self.circuit, self.waves = c, waves
-
-    @cached_property
-    def listed(self):
-        c = self.circuit
-        wanted = {*c.outputs, *chain.from_iterable(map(_inputs, c.gates))}
-        # fanout-free, so a wanted net is read exactly once, and it stays
-        # available until that read.  The available nets are kept oldest
-        # first, so a wave costs only its own nets; a slot lists them
-        # newest first.
-        gates = c.gates
-        alive = dict.fromkeys(net for net in reversed(c.inputs) if net in wanted)
-        listed = []
-        for wave in self.waves:
-            for i in wave:
-                for net in gates[i].inputs:
-                    del alive[net]
-            for i in reversed(wave):
-                for net in reversed(gates[i].outputs):
-                    if net in wanted:
-                        alive[net] = None
-            listed.append(tuple(reversed(alive)))
-        return listed
+def _slots(c, waves):
+    """The slots of fanout-free c, whose waves are given."""
+    wanted = {*c.outputs, *chain.from_iterable(map(_inputs, c.gates))}
+    # fanout-free, so a wanted net is read exactly once, and it stays
+    # available until that read.  The available nets are kept oldest first,
+    # so a wave costs only its own nets; a slot lists them newest first.
+    gates = c.gates
+    alive = dict.fromkeys(net for net in reversed(c.inputs) if net in wanted)
+    slots = [Slot((), c.inputs)]
+    for wave in waves:
+        for i in wave:
+            for net in gates[i].inputs:
+                del alive[net]
+        for i in reversed(wave):
+            for net in reversed(gates[i].outputs):
+                if net in wanted:
+                    alive[net] = None
+        slots.append(Slot(wave, tuple(reversed(alive))))
+    return tuple(slots)

@@ -12,7 +12,6 @@ from revmap import (
     IrCircuit,
     IrGate,
     IrGateKind,
-    NetRecord,
     Slot,
     SlottedCircuit,
     UnsupportedError,
@@ -25,7 +24,6 @@ from revmap import (
 )
 from revmap.cli import main
 from revmap.convert import conversion_trace
-from revmap.fanout import fanout_report
 from samples import HALF_ADDER_BLIF, pipeline
 
 K = IrGateKind
@@ -182,44 +180,58 @@ def test_final_net_set_equals_outputs():
         assert s.slots[0].nets == c.inputs
 
 
-# ------------------------------------------------- nets listed on first read
+# ------------------------------------------------ slots built on first read
 
 
 def test_slot_nets_are_listed_in_one_walk_on_first_read(monkeypatch):
     walks = []
-    walk = slotting._NetWalk.listed.func
-    monkeypatch.setattr(slotting._NetWalk.listed, "func",
-                        lambda self: walks.append(self) or walk(self))
+    build = slotting._slots
+    monkeypatch.setattr(slotting, "_slots",
+                        lambda c, waves: walks.append(c) or build(c, waves))
     c = insert_copiers(gen_random_circuit(3, 4, 30))
     s = slot_circuit(c)
     convert_circuit(s)
     conversion_trace(s)
-    assert len(s.slots) > 2 and all(slot.gates for slot in s.slots[1:])
     assert walks == []
-    assert s.slots[2].nets
-    listed = [slot.nets for slot in s.slots]
-    assert len(walks) == 1
-    assert set(listed[-1]) == set(c.outputs)
+    assert len(s.slots) > 2 and all(slot.gates for slot in s.slots[1:])
+    assert [slot.nets for slot in s.slots] and s.slots is s.slots
+    assert walks == [c]
+    assert [slot.gates for slot in s.slots[1:]] == list(s._waves)
+    assert set(s.slots[-1].nets) == set(c.outputs)
 
 
 def test_slots_of_slot_circuit_are_plain_slots():
-    # before and after their nets are read, slot_circuit's slots compare,
-    # hash, print, pickle and copy as the Slots a caller would build
+    # before and after its slots are built, slot_circuit's result compares,
+    # hashes, prints, pickles and copies as one a caller would build
     c = insert_copiers(gen_random_circuit(5, 5, 40))
-    twins = [Slot(slot.gates, slot.nets) for slot in slot_circuit(c).slots]
-    for fresh in (slot_circuit(c) for _ in range(3)):
-        slots = fresh.slots
-        assert [pickle.loads(pickle.dumps(slot)) for slot in slots] == twins
-        assert [dataclasses.replace(slot) for slot in slots] == twins
-        assert list(slots) == twins
-        assert [hash(slot) for slot in slots] == [hash(twin) for twin in twins]
-        assert [repr(slot) for slot in slots] == [repr(twin) for twin in twins]
-        assert fresh == SlottedCircuit(c, tuple(twins))
-    slot = slot_circuit(c).slots[1]
+    twin = SlottedCircuit(c, tuple(Slot(slot.gates, slot.nets)
+                                   for slot in slot_circuit(c).slots))
+    assert twin._waves == slot_circuit(c)._waves
+    for fresh in (slot_circuit(c) for _ in range(4)):
+        copied = pickle.loads(pickle.dumps(fresh))
+        assert "slots" not in vars(copied)
+        assert copied == fresh == twin
+        assert dataclasses.replace(fresh) == twin
+        assert hash(fresh) == hash(twin) and repr(fresh) == repr(twin)
+        assert all(type(slot) is Slot for slot in fresh.slots)
+        assert fresh.slots == twin.slots
+    slotted = slot_circuit(c)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        slot.nets = ()
-    with pytest.raises(AttributeError, match="'Slot' object has no attribute 'net'"):
-        slot.net
+        slotted.slots = ()
+    with pytest.raises(AttributeError, match="'SlottedCircuit' object has no attribute 'slot'"):
+        slotted.slot
+    assert not hasattr(slotted.slots[0], "__dict__")  # Slot keeps its __slots__
+
+
+def test_caller_built_slots_convert_as_slot_circuits():
+    # a SlottedCircuit built from slots finds its waves in them
+    for seed in range(40):
+        c = insert_copiers(gen_random_circuit(seed, 1 + seed % 7, seed % 50))
+        slotted = slot_circuit(c)
+        built = SlottedCircuit(c, tuple(slotted.slots))
+        assert built._waves == slotted._waves
+        assert convert_circuit(built) == convert_circuit(slotted)
+        assert conversion_trace(built, False) == conversion_trace(slotted, False)
 
 
 def wide_fanout(n):
@@ -256,26 +268,16 @@ def test_wide_fanout_converts_and_verifies(tmp_path, capsys):
     assert f"bijectivity=skipped lines={n} " in out
 
 
-def test_convert_builds_few_net_records_and_no_slot_nets(tmp_path, monkeypatch, capsys):
-    # fanout removal builds a NetRecord only for each net that fans out,
-    # and no slot's nets are listed unless something reads them
+def test_convert_builds_no_slot_nets(tmp_path, monkeypatch):
+    # no slot's nets are listed unless something reads them
     blif, real = tmp_path / "rand.blif", tmp_path / "rand.real"
-    c = gen_random_circuit(8, 6, 60)
-    blif.write_text(write_intermediate(c))
-    fanned = len(fanout_report(c))
-    assert fanned > 3
-    built = []
-    init = NetRecord.__init__
+    blif.write_text(write_intermediate(gen_random_circuit(8, 6, 60)))
 
-    def counted(self, net, source, sinks):
-        built.append(net)
-        init(self, net, source, sinks)
-
-    def refuse(self):
+    def refuse(c, waves):
         raise AssertionError("the slots' nets were listed")
 
-    monkeypatch.setattr(NetRecord, "__init__", counted)
-    monkeypatch.setattr(slotting._NetWalk, "listed", property(refuse))
+    monkeypatch.setattr(slotting, "_slots", refuse)
     for extra in ([], ["--trace"], ["--no-restore-controls"]):
         assert main(["convert", str(blif), "-o", str(real), *extra]) == 0
-    assert len(built) == 3 * fanned
+    with pytest.raises(AssertionError, match="nets were listed"):
+        main(["slots", str(blif)])
