@@ -14,9 +14,15 @@ function is accepted: for example ``1- 1`` / ``-1 1`` and the three
 minterm rows both read as OR.  A one-input cover with on-set {1} is the
 identity; it emits no gate and instead aliases the output name to the
 input name everywhere downstream, including in .outputs.
+
+Both dialects have one reader, _read_blocks, which reads a directive block
+at a time and raises every syntax error with its line.  Text as
+write_intermediate writes it is read as it is; any other text is first
+rewritten by _logical_lines to one single-spaced logical line per "\n".
 """
 
-from itertools import product
+from itertools import product, repeat
+from operator import length_hint
 
 from .errors import BlifError, UnsupportedError, ValidationError
 from .ir import IrCircuit, IrGate, IrGateKind, Violation, validate_circuit
@@ -42,7 +48,8 @@ _PATTERNS = {n: frozenset(map("".join, product("01-", repeat=n))) for n in (1, 2
 
 # The verdict of classify_cover on each cover spelling classified so far,
 # keyed by (n_inputs, rows), the rows spelled as write_intermediate writes
-# them (see _cover_kind).  Only covers of at most four rows are kept, and at
+# them, one "<pattern> <bit>" a line, so that _read_blocks looks up such a
+# cover as it reads it.  Only covers of at most four rows are kept, and at
 # most 1104 of those are supported functions, so no input can grow the
 # table past that; a cover that classify_cover rejects is never kept.
 _KNOWN_COVERS = {}
@@ -78,22 +85,16 @@ def classify_cover(rows, n_inputs, subject="cover"):
         ) from None
 
 
-def _tokens(raw):
-    """The tokens of one physical line, without its # comment."""
-    return (raw.split("#", 1)[0] if "#" in raw else raw).split()
-
-
 def _logical_lines(text):
-    """List (line_number, tokens) with comments stripped and continuations joined."""
+    """The text rewritten as plain lines, and each one's line in the file.
+
+    Comments are stripped, continuations joined and blank lines dropped;
+    each logical line becomes its tokens, single-spaced, and the lines are
+    joined by "\n".  The list holds the file line each of them starts on.
+    """
     raw = text.splitlines()
-    if "\\" not in text:
-        split = _tokens if "#" in text else str.split
-        return [
-            (lineno, tokens)
-            for lineno, tokens in enumerate(map(split, raw), start=1)
-            if tokens
-        ]
     lines = []
+    numbers = []
     i = 0
     while i < len(raw):
         start = i + 1
@@ -106,50 +107,95 @@ def _logical_lines(text):
         tokens = piece.split()
         i += 1
         if tokens:
-            lines.append((start, tokens))
-    return lines
+            lines.append(" ".join(tokens))
+            numbers.append(start)
+    return "\n".join(lines), numbers
 
 
-# What makes the line reader start, join or drop a line other than at a
-# plain "\n": a comment, a continuation, and every other line break that
+# What makes a logical line start, join or drop other than at a plain
+# "\n": a comment, a continuation, and every other line break that
 # str.splitlines honours
 _LINE_BREAKERS = ("#", "\\", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                   "\x85", "\u2028", "\u2029")
 
 
 def _parse(text, allow_copy):
-    read = _read_blocks(text, allow_copy) or _read_lines(text, allow_copy)
-    return _resolve_aliases(*read)
-
-
-def _read_blocks(text, allow_copy):
-    """Read well-formed text a directive block at a time, or return None.
-
-    Without the characters of _LINE_BREAKERS, each logical line is one
-    "\n"-ended line, so every directive opens a block at a "\n.", and a
-    .names block holds its head and its cover rows.  What this reads, it
-    reads as _read_lines would, and it returns the same pair.  On anything
-    else it returns None, for _read_lines to read the text and raise its
-    error: text before the first directive or after .end, a directive
-    line that starts with whitespace or that is unknown, rejected or
-    malformed, a bad cover row or an unsupported cover, a second driver
-    for a buffer's net.
-    """
+    # Text that opens with a directive and has no character of
+    # _LINE_BREAKERS, as revmap writes it, has one logical line per "\n"
+    # and is read as it is; any other text is rewritten once.  Each test
+    # here is a scan for one character; a scan for lines that open with
+    # whitespace would cost a tenth of the read, so _read_blocks splits
+    # off such a line itself when it holds a directive.
+    numbers = None
     if text[:1] != "." or any(map(text.__contains__, _LINE_BREAKERS)):
-        return None
+        text, numbers = _logical_lines(text)
+    return _resolve_aliases(*_read_blocks(text, numbers, allow_copy))
+
+
+def _read_blocks(text, numbers, allow_copy):
+    """Read text a directive block at a time; return (circuit, buffer aliases).
+
+    Each "\n"-ended line of text is a logical line, and numbers, unless it
+    is None, holds each one's line in the file.  Every directive opens a
+    block at a "\n.", and a .names block holds its head and its cover
+    rows, so a cover as write_intermediate spells it is looked up whole.
+    Any other block body is read a line at a time.  The circuit's names
+    are as written: _resolve_aliases renames the buffers' outputs.  Every
+    syntax error of the dialect is raised here, and only then is its line
+    counted.
+    """
     model = None
     inputs = []
     outputs = []
     gates = []
     aliases = {}
     ended = False
+    if text and text[0] != ".":  # a rewritten text whose first line is no directive
+        first = text.split(None, 1)[0]
+        raise BlifError(f"expected a directive, got {first!r}", numbers[0])
+    blocks = text[1:].split("\n.") if text else []
+    rest = iter(blocks)
+
+    def current():
+        """The index in blocks of the block being read."""
+        return len(blocks) - length_hint(rest) - 1
+
+    def line(offset=0):
+        """The file line of the offset-th line of the block being read."""
+        k = current()
+        n = k + offset + sum(map(str.count, blocks[:k], repeat("\n")))
+        return n + 1 if numbers is None else numbers[n]
+
+    def body_rows(head, body):
+        """(offset, tokens) for each non-blank line of body before the first
+        that opens with whitespace and a directive, which plain text may
+        hold; that line and the lines after it are split off as the next
+        block."""
+        raws = body.split("\n")
+        rows = []
+        for j, raw in enumerate(raws):
+            tokens = raw.split()
+            if tokens and tokens[0][0] == ".":
+                k = current()
+                blocks[k] = "\n".join([head, *raws[:j]])
+                blocks.insert(k + 1, "\n".join([raw.lstrip()[1:], *raws[j + 1:]]))
+                break
+            if tokens:
+                rows.append((j + 1, tokens))
+        return rows
+
     append = gates.append
     known = _KNOWN_COVERS.get
-    for block in text[1:].split("\n."):
-        head, _, cover = block.partition("\n")
+    for block in rest:
+        head, _, body = block.partition("\n")
         tokens = head.split()
         if ended or not tokens or head[0].isspace():
-            return None
+            # a line after .end, or a "." that no name follows
+            if not ended:
+                raise BlifError("unknown directive .", line())
+            if tokens[:1] == ["model"] and not head[0].isspace():
+                raise BlifError("only one .model block is supported", line())
+            raise BlifError("content after .end", line())
         directive = tokens[0]
         if directive == "names":  # the most frequent directive, tested first
             n = len(tokens) - 2
@@ -157,174 +203,79 @@ def _read_blocks(text, allow_copy):
                 ins = (tokens[1], tokens[2])
             elif n == 1:
                 ins = (tokens[1],)
+            elif n == 0:
+                raise UnsupportedError(
+                    f"constant cover for '{tokens[1]}': .names needs at least one input"
+                )
+            elif n < 0:
+                raise BlifError(".names needs nets", line())
             else:
-                return None
+                raise UnsupportedError(
+                    f"gate '{tokens[-1]}' has {n} inputs; at most 2 are supported"
+                )
             out = tokens[-1]
             # a cover as write_intermediate spells it is its own key
-            kind = known((n, cover), _UNKNOWN)
+            kind = known((n, body), _UNKNOWN)
             if kind is _UNKNOWN:
-                kind = _block_cover(n, cover, out)
+                rows = body_rows(head, body)
+                patterns = _PATTERNS[n]
+                for j, row in rows:
+                    if len(row) != 2:
+                        raise BlifError("cover row must be '<pattern> <bit>'", line(j))
+                    pattern, bit = row
+                    if pattern not in patterns:
+                        raise BlifError(f"bad cover pattern {pattern!r}", line(j))
+                    if bit != "1" and bit != "0":
+                        raise BlifError(f"bad cover output bit {bit!r}", line(j))
+                cover = [row for _, row in rows]
+                key = (n, "\n".join(map(" ".join, cover)))
+                kind = known(key, _UNKNOWN)
                 if kind is _UNKNOWN:
-                    return None
+                    kind = classify_cover(cover, n, subject=f"gate '{out}'")
+                    if len(cover) <= 4:
+                        _KNOWN_COVERS[key] = kind
             if kind is not None:
                 append(IrGate(kind, ins, (out,)))
             elif out in aliases:
-                return None
+                # a gate driving the same net is caught by _resolve_aliases
+                raise BlifError(f"multiple drivers for net '{out}'", line())
             else:
                 aliases[out] = ins[0]
-        elif cover and not cover.isspace():
-            return None  # a second line under a one-line directive
-        elif directive == "inputs":
+            continue
+        if directive == "inputs":
             inputs += tokens[1:]
         elif directive == "outputs":
             outputs += tokens[1:]
         elif directive == "copy":
-            if not allow_copy or len(tokens) != 4:
-                return None
+            if not allow_copy:
+                raise BlifError(".copy is only valid in the intermediate format", line())
+            if len(tokens) != 4:
+                raise BlifError(".copy takes one input and two outputs", line())
             append(IrGate(IrGateKind.COPY, (tokens[1],), (tokens[2], tokens[3])))
         elif directive == "model":
-            if model is not None or len(tokens) != 2:
-                return None
+            if model is not None:
+                raise BlifError("only one .model block is supported", line())
+            if len(tokens) != 2:
+                raise BlifError(".model takes exactly one name", line())
             model = tokens[1]
         elif directive == "end":
             ended = True
+        elif "." + directive in _REJECTED_DIRECTIVES:
+            raise UnsupportedError(f"unsupported construct .{directive}")
         else:
-            return None
+            raise BlifError(f"unknown directive .{directive}", line())
+        if body and not body.isspace():  # lines under a one-line directive
+            rows = body_rows(head, body)
+            if rows:  # the first is out of place
+                j, row = rows[0]
+                if ended:
+                    raise BlifError("content after .end", line(j))
+                raise BlifError(f"expected a directive, got {row[0]!r}", line(j))
     return _circuit(model, inputs, outputs, gates), aliases
-
-
-def _block_cover(n_inputs, cover, out):
-    """The verdict on a .names block's cover text, _UNKNOWN if it is bad."""
-    rows = [row for row in map(str.split, cover.split("\n")) if row]
-    patterns = _PATTERNS[n_inputs]
-    for row in rows:
-        if len(row) != 2 or row[0] not in patterns or row[1] not in ("0", "1"):
-            return _UNKNOWN
-    try:
-        return _cover_kind(n_inputs, rows, out)
-    except UnsupportedError:
-        return _UNKNOWN
-
-
-def _cover_kind(n_inputs, rows, out):
-    """classify_cover's verdict on well-formed rows, kept in _KNOWN_COVERS.
-
-    The key is the rows as write_intermediate spells them, one
-    "<pattern> <bit>" a line, which _read_blocks looks up as it reads.
-    """
-    key = (n_inputs, "\n".join(map(" ".join, rows)))
-    kind = _KNOWN_COVERS.get(key, _UNKNOWN)
-    if kind is _UNKNOWN:
-        kind = classify_cover(rows, n_inputs, subject=f"gate '{out}'")
-        if len(rows) <= 4:
-            _KNOWN_COVERS[key] = kind
-    return kind
 
 
 def _circuit(model, inputs, outputs, gates):
     return IrCircuit(model or "top", tuple(inputs), tuple(outputs), tuple(gates))
-
-
-def _read_lines(text, allow_copy):
-    """Read text a logical line at a time; return (circuit, buffer aliases).
-
-    The circuit's names are as written: _resolve_aliases renames the
-    buffers' outputs.  Every syntax error of the dialect is raised here.
-    """
-    model = None
-    inputs = []
-    outputs = []
-    gates = []
-    aliases = {}
-    ended = False
-
-    lines = _logical_lines(text)
-    pos = 0
-    while pos < len(lines):
-        lineno, tokens = lines[pos]
-        head = tokens[0]
-        if ended:
-            if head == ".model":
-                raise BlifError("only one .model block is supported", lineno)
-            raise BlifError("content after .end", lineno)
-        if head == ".names":  # the most frequent directive, tested first
-            pos = _parse_names(lines, pos, gates, aliases)
-        elif not head.startswith("."):
-            raise BlifError(f"expected a directive, got {head!r}", lineno)
-        elif head == ".model":
-            if model is not None:
-                raise BlifError("only one .model block is supported", lineno)
-            if len(tokens) != 2:
-                raise BlifError(".model takes exactly one name", lineno)
-            model = tokens[1]
-            pos += 1
-        elif head == ".inputs":
-            inputs.extend(tokens[1:])
-            pos += 1
-        elif head == ".outputs":
-            outputs.extend(tokens[1:])
-            pos += 1
-        elif head == ".copy":
-            if not allow_copy:
-                raise BlifError(
-                    ".copy is only valid in the intermediate format", lineno
-                )
-            if len(tokens) != 4:
-                raise BlifError(".copy takes one input and two outputs", lineno)
-            gates.append(IrGate(IrGateKind.COPY, (tokens[1],), (tokens[2], tokens[3])))
-            pos += 1
-        elif head == ".end":
-            ended = True
-            pos += 1
-        elif head in _REJECTED_DIRECTIVES:
-            raise UnsupportedError(f"unsupported construct {head}")
-        else:
-            raise BlifError(f"unknown directive {head}", lineno)
-
-    return _circuit(model, inputs, outputs, gates), aliases
-
-
-def _parse_names(lines, pos, gates, aliases):
-    lineno, tokens = lines[pos]
-    if len(tokens) < 3:
-        if len(tokens) == 2:
-            raise UnsupportedError(
-                f"constant cover for '{tokens[1]}': .names needs at least one input"
-            )
-        raise BlifError(".names needs nets", lineno)
-    ins, out = tuple(tokens[1:-1]), tokens[-1]
-    if len(ins) > 2:
-        raise UnsupportedError(
-            f"gate '{out}' has {len(ins)} inputs; at most 2 are supported"
-        )
-
-    patterns = _PATTERNS[len(ins)]
-    rows = []
-    end = len(lines)
-    pos += 1
-    while pos < end:
-        row_no, row = lines[pos]
-        if row[0].startswith("."):
-            break
-        if len(row) != 2:
-            raise BlifError("cover row must be '<pattern> <bit>'", row_no)
-        pattern, bit = row
-        if pattern not in patterns:
-            raise BlifError(f"bad cover pattern {pattern!r}", row_no)
-        if bit != "1" and bit != "0":
-            raise BlifError(f"bad cover output bit {bit!r}", row_no)
-        rows.append((pattern, bit))
-        pos += 1
-
-    kind = _cover_kind(len(ins), rows, out)
-    if kind is None:
-        # a gate driving the same net is caught by _resolve_aliases
-        if out in aliases:
-            raise BlifError(f"multiple drivers for net '{out}'", lineno)
-        aliases[out] = ins[0]
-    else:
-        gates.append(IrGate(kind, ins, (out,)))
-    return pos
 
 
 def _resolve_aliases(c, aliases):

@@ -12,12 +12,14 @@ parse_real accepts that layout plus ``#`` comments and blank lines, with
 the header directives in any order before .begin, each at most once
 (.version, which is ignored, may repeat).  Gates above two controls (t4
 and up) are out of the supported set.  The format carries no circuit
-name, so a parsed circuit is named "".
+name, so a parsed circuit is named "".  The gate rows are read in one
+loop: a row as write_real spells it is built directly, and any other row
+is parsed and checked.
 """
 
 from itertools import count
+from operator import length_hint
 
-from .blif import _tokens
 from .errors import RealFormatError, UnsupportedError
 from .ir import _REV_GATE_SETTERS, Line, RevCircuit, RevGate
 
@@ -69,6 +71,11 @@ def write_real(r):
     return "\n".join(out) + "\n"
 
 
+def _tokens(raw):
+    """The tokens of one line, without its # comment."""
+    return (raw.split("#", 1)[0] if "#" in raw else raw).split()
+
+
 # lines touched by each supported gate; _gate_size judges any other head
 _GATE_SIZE = {"t1": 1, "t2": 2, "t3": 3}
 
@@ -114,51 +121,80 @@ def parse_real(text):
     variables = header.get(".variables")
 
     index_of = {name: i for i, name in enumerate(variables or ())}
-    gates = []
-    if in_body:
-        gates = _plain_gates(map(split, raws[lineno:]), index_of)
-        start = lineno + len(gates)
-        rows = enumerate(raws[start:], start=start + 1)
 
-    # Every other row is parsed as it is read, against the header read so
-    # far.  The first bad row is kept and raised only after the checks below
-    # on the body's end and on the header, which take precedence over it.
+    # The body is read a row at a time, against the header read so far.  A
+    # row as write_real spells it, on distinct lines that index_of knows, is
+    # built without a Python frame, as RevGate's rules hold for it by
+    # construction; any other row is parsed and checked.  The first bad row
+    # is kept and raised only after the checks below on the body's end and
+    # on the header, which take precedence over it.  A row's line is
+    # counted only when the row is odd.
+    gates = []
     append = gates.append
+    new = object.__new__
+    set_controls, set_target = _REV_GATE_SETTERS
     bad_gate = None
     ended = False
-    lookup = index_of.__getitem__
-    for lineno, raw in rows:
-        tokens = split(raw)
+    rows = iter(raws[lineno:] if in_body else ())
+    for tokens in map(split, rows):
+        n = len(tokens)
+        controls = None
+        try:
+            if n == 3:
+                head, a, target = tokens
+                if head == "t2":
+                    a, target = index_of[a], index_of[target]
+                    if a != target:
+                        controls = (a,)
+            elif n == 4:
+                head, a, b, target = tokens
+                if head == "t3":
+                    a, b, target = index_of[a], index_of[b], index_of[target]
+                    if a != b and a != target and b != target:
+                        controls = (a, b)
+            elif n == 2 and tokens[0] == "t1":
+                target = index_of[tokens[1]]
+                controls = ()
+        except KeyError:
+            pass  # an unknown line, which the checked branch reports
+        if controls is not None:
+            gate = new(RevGate)
+            set_controls(gate, controls)
+            set_target(gate, target)
+            append(gate)
+            continue
         if not tokens:
             continue
-        if ended:
-            raise RealFormatError("content after .end", lineno)
         head = tokens[0]
         if head == ".end":
             ended = True
-            continue
-        if bad_gate is not None:
-            continue
+            break
+        lineno = len(raws) - length_hint(rows)
         try:
             n = _GATE_SIZE.get(head) or _gate_size(head, lineno)
             if len(tokens) != n + 1:
                 raise RealFormatError(f"t{n} takes exactly {n} lines", lineno)
             # controls first, target last; each name is looked up in order
-            if n == 3:
-                _, a, b, target = tokens
-                append(RevGate((lookup(a), lookup(b)), lookup(target)))
-            elif n == 2:
-                _, a, target = tokens
-                append(RevGate((lookup(a),), lookup(target)))
-            else:
-                append(RevGate((), lookup(tokens[1])))
+            controls = tuple(map(index_of.__getitem__, tokens[1:-1]))
+            append(RevGate(controls, index_of[tokens[-1]]))
         except (RealFormatError, UnsupportedError) as exc:
             # its traceback would hold this frame, which holds bad_gate
             bad_gate = exc.with_traceback(None)
+            break
         except KeyError as exc:
             bad_gate = RealFormatError(f"unknown line {exc.args[0]!r}", lineno)
+            break
         except ValueError as exc:
             bad_gate = RealFormatError(str(exc), lineno)
+            break
+    # past .end or the first bad row, a row matters only as .end or as
+    # content after it
+    for tokens in map(split, rows):
+        if not tokens:
+            continue
+        if ended:
+            raise RealFormatError("content after .end", len(raws) - length_hint(rows))
+        ended = tokens[0] == ".end"
 
     if width is None:
         raise RealFormatError("missing .numvars")
@@ -204,52 +240,6 @@ def parse_real(text):
         return RevCircuit("", lines, tuple(gates))
     except ValueError as exc:
         raise RealFormatError(str(exc)) from None
-
-
-def _plain_gates(rows, index_of):
-    """The RevGates of the leading rows that are plain gates, as write_real
-    spells them, on distinct lines that index_of knows.
-
-    rows holds each row's tokens.  The gates are built without a Python
-    frame each, as RevGate's rules hold for them by construction.  The
-    first other row ends the list, and parse_real's checked loop reads it
-    and every row after it.
-    """
-    gates = []
-    append = gates.append
-    new = object.__new__
-    set_controls, set_target = _REV_GATE_SETTERS
-    try:
-        for tokens in rows:
-            n = len(tokens)
-            if n == 3:
-                head, a, target = tokens
-                if head != "t2":
-                    break
-                a, target = index_of[a], index_of[target]
-                if a == target:
-                    break
-                controls = (a,)
-            elif n == 4:
-                head, a, b, target = tokens
-                if head != "t3":
-                    break
-                a, b, target = index_of[a], index_of[b], index_of[target]
-                if a == b or a == target or b == target:
-                    break
-                controls = (a, b)
-            elif n == 2 and tokens[0] == "t1":
-                target = index_of[tokens[1]]
-                controls = ()
-            else:
-                break
-            gate = new(RevGate)
-            set_controls(gate, controls)
-            set_target(gate, target)
-            append(gate)
-    except KeyError:
-        pass  # an unknown line, which the checked loop reports
-    return gates
 
 
 def _word(tokens, alphabet, lineno):

@@ -1,20 +1,30 @@
-"""The block-at-a-time readers against the checked readers alone.
+"""The one reader of each format, against outcomes pinned in advance.
 
-parse_intermediate first tries blif._read_blocks, which reads well-formed
-text a .names block at a time and hands anything else to the line reader,
-blif._read_lines.  parse_real first builds the leading plain gate rows in
-realfmt._plain_gates and hands the first other row, and every row after
-it, to its checked loop.  Both fast paths must give what the checked
-readers give alone, on every text, down to the error and its line; and
-the text revmap writes must never fall back.
+parse_intermediate and parse_blif read text a directive block at a time
+in blif._read_blocks.  Text that revmap writes is read as it is; any
+other (a comment, a continuation, a line break other than "\\n", text
+before the first directive) is first rewritten by blif._logical_lines to
+one logical line per "\\n", with each line's number in the file.
+parse_real reads its body in one loop: a row as write_real spells it is
+built directly, and any other row takes the checked branch.
+
+An outcome is what a reader makes of a text: its result, or its error's
+type, message and line.  The outcomes on fixed seeded families of texts,
+and on each sample below and its variants, are pinned as sha256 digests,
+recorded with the line-at-a-time readers that these readers replaced.  A
+mismatch means some text now reads differently, down to an error's line.
+The text revmap writes must never be rewritten, nor any of its gate rows
+take the checked branch.
 """
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revmap.blif as blif
-import revmap.realfmt as realfmt
 from revmap import (
     RevGate,
     convert_circuit,
@@ -41,17 +51,52 @@ def outcome(parse, text):
     try:
         return parse(text)
     except Exception as exc:  # every error must match, not only revmap's
-        return type(exc), str(exc), getattr(exc, "line", None)
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
 
 
-def lines_only(text, allow_copy=True):
-    return blif._resolve_aliases(*blif._read_lines(text, allow_copy))
+def digest(parses, texts):
+    """The sha256 of each parse's outcome on each text, in order."""
+    h = hashlib.sha256()
+    for text in texts:
+        for parse in parses:
+            h.update(f"{outcome(parse, text)!r}\n".encode())
+    return h.hexdigest()
 
 
-def checked_rows_only(text):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(realfmt, "_plain_gates", lambda rows, index_of: [])
-        return parse_real(text)
+# ways to respell a text's line breaks, indents, line ends and token gaps
+VARIANTS = [
+    lambda t: t,
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace("\n", "\u2028"),
+    lambda t: t.replace("\n", "\u2029"),
+    lambda t: t.replace("\n", "\x1f"),
+    lambda t: t.replace("\n", "\n "),
+    lambda t: t.replace("\n", "\t\n"),
+    lambda t: t.replace(" ", " \u3000"),
+]
+
+# whitespace and line breaks that seeded texts gain at line starts, line
+# ends and between tokens
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000", "\x0b", "\x0c", "\r", "\x1c",
+          "\x85", "\u2028", "\u2029", "\r\n", "  "]
+
+
+def sprinkle(rng, text):
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        spots = [0, len(text), *(i for i, ch in enumerate(text) if ch in " \n")]
+        at = rng.choice(spots)
+        if text[at:at + 1] == "\n":
+            at += rng.randrange(2)  # before or after the break
+        text = text[:at] + rng.choice(SPACES) + text[at:]
+    return text
+
+
+def join(rng, lines, breaks, ends):
+    if rng.randrange(2):
+        breaks = ["\n"]
+    first, *rest = lines or [""]
+    text = first + "".join(rng.choice(breaks) + line for line in rest)
+    return sprinkle(rng, text + rng.choice(ends))
 
 
 # ------------------------------------------------------------------ BLIF
@@ -61,8 +106,7 @@ NETS = ["a", "b", "c", "y", "z"]
 # write_intermediate writes them or not, and a few that no reader accepts
 ROWS = [*CANONICAL_ROWS.values(), ("1 1",), ("1 1",), ("1- 1", "-1 1"),
         ("11 1", "1- 1")] * 3 + [("0 0",), ("11 0",), ()]
-# lines that make the line reader start, join or drop a line, or that the
-# block reader must hand over to it
+# lines that start, join or drop a logical line, or that no block holds
 ODD_LINES = [
     "", "  ", "# a comment", ".names a y # a comment", ".names a \\", "y",
     "  .names a y", "\t.end", ". names a y", ".", ".latch a b", ".foo",
@@ -71,47 +115,45 @@ ODD_LINES = [
     "11", "11 1 1", "2 1", "11 2", "111 1", "0 1", "x y", ".end", ".end x",
     "1 1 # buffer", "11 1\\", "  11 1",
 ]
+BLIF_BREAKS = ["\n"] * 4 + ["\r\n", "\u2028", " ", "\x0c"]
 
 
-@st.composite
-def blif_texts(draw):
+def seeded_blif(rng):
     """BLIF text that is mostly as write_intermediate writes it, with a few
     lines changed, added or dropped and any of the line breaks."""
-    lines = [".model m", ".inputs a b", ".outputs " + " ".join(
-        draw(st.lists(st.sampled_from(NETS), min_size=1, max_size=3)))]
-    for _ in range(draw(st.integers(0, 6))):
-        if draw(st.integers(0, 7)) == 0:
-            lines.append(".copy " + " ".join(draw(st.permutations(NETS))[:3]))
+    outputs = [rng.choice(NETS) for _ in range(rng.randrange(1, 4))]
+    lines = [".model m", ".inputs a b", " ".join((".outputs", *outputs))]
+    for _ in range(rng.randrange(7)):
+        if rng.randrange(8) == 0:
+            nets = list(NETS)
+            rng.shuffle(nets)
+            lines.append(" ".join((".copy", *nets[:3])))
             continue
-        rows = draw(st.sampled_from(ROWS))
-        n = len(rows[0].split()[0]) if rows else draw(st.integers(1, 2))
-        nets = draw(st.lists(st.sampled_from(NETS), min_size=n + 1, max_size=n + 1))
-        lines += [".names " + " ".join(nets), *rows]
-    if draw(st.booleans()):
+        rows = rng.choice(ROWS)
+        n = len(rows[0].split()[0]) if rows else rng.randrange(1, 3)
+        nets = [rng.choice(NETS) for _ in range(n + 1)]
+        lines += [" ".join((".names", *nets)), *rows]
+    if rng.randrange(2):
         lines.append(".end")
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
-        at = draw(st.integers(0, len(lines)))
-        action = draw(st.sampled_from(["insert", "insert", "drop"]))
-        if action == "drop" and at < len(lines):
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        at = rng.randrange(len(lines) + 1)
+        if rng.randrange(3) == 0 and at < len(lines):
             del lines[at]
         else:
-            lines.insert(at, draw(st.sampled_from(ODD_LINES)))
-    breaks = st.sampled_from(["\n"] * 4 + ["\r\n", "\u2028", " ", "\x0c"])
-    if draw(st.booleans()):
-        breaks = st.just("\n")
-    text = lines[0] + "".join(draw(breaks) + line for line in lines[1:])
-    return text + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+            lines.insert(at, rng.choice(ODD_LINES))
+    return join(rng, lines, BLIF_BREAKS, ["\n", "", "\n\n", "\r\n"])
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(blif_texts())
-def test_blif_fast_path_reads_as_the_line_reader(text):
-    assert outcome(parse_intermediate, text) == outcome(lines_only, text)
-    assert outcome(parse_blif, text) == outcome(
-        lambda t: lines_only(t, allow_copy=False), text)
+BLIF_READERS = (parse_intermediate, parse_blif)
 
 
-@pytest.mark.parametrize("text", [
+def test_seeded_blif_reads_as_pinned():
+    rng = random.Random(18)
+    texts = [seeded_blif(rng) for _ in range(1000)]
+    assert digest(BLIF_READERS, texts) == SEEDED_BLIF_DIGEST
+
+
+BLIF_SAMPLES = [
     HALF_ADDER_BLIF,
     buffer_chain_blif(4),
     # a buffer chain declared backwards, and an alias cycle
@@ -144,14 +186,38 @@ def test_blif_fast_path_reads_as_the_line_reader(text):
     ".model m\n.inputs a b\n.outputs y\n.names a b y\n.end\n",
     "\n.model m\n.inputs a\n.outputs y\n.names a y\n0 1\n.end\n",
     "",
-])
-def test_blif_samples_read_as_the_line_reader(text):
-    for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", "\u2028")):
-        assert outcome(parse_intermediate, variant) == outcome(lines_only, variant)
+]
 
 
-def test_the_cover_cache_is_shared_by_both_readers(monkeypatch):
-    # a cover either reader has classified, the other looks up
+@pytest.mark.parametrize("k", range(len(BLIF_SAMPLES)))
+def test_blif_sample_reads_as_pinned(k):
+    texts = [variant(BLIF_SAMPLES[k]) for variant in VARIANTS]
+    assert digest(BLIF_READERS, texts)[:16] == BLIF_SAMPLE_DIGESTS[k]
+
+
+def rewritten(text, allow_copy):
+    """text read through its rewrite, plain or not."""
+    return blif._resolve_aliases(
+        *blif._read_blocks(*blif._logical_lines(text), allow_copy))
+
+
+@st.composite
+def blif_texts(draw):
+    """Seeded BLIF text, half of it plain."""
+    return seeded_blif(random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(blif_texts())
+def test_plain_text_reads_as_its_rewritten_form(text):
+    assert outcome(parse_intermediate, text) == outcome(
+        lambda t: rewritten(t, True), text)
+    assert outcome(parse_blif, text) == outcome(
+        lambda t: rewritten(t, False), text)
+
+
+def test_the_cover_cache_serves_every_spelling(monkeypatch):
+    # a cover classified once is looked up in every later spelling of it
     calls = []
     classify = blif.classify_cover
 
@@ -163,9 +229,9 @@ def test_the_cover_cache_is_shared_by_both_readers(monkeypatch):
     monkeypatch.setattr(blif, "classify_cover", counted)
     base = ".model m\n.inputs a b\n.outputs y\n.names a b y{}\n{}.end\n"
     for rows in ("1- 1\n-1 1\n", "01 1\n10 1\n11 1\n"):
-        commented = base.format(" # or", rows)  # only the line reader
-        plain = base.format("", rows)  # the block reader
-        spaced = base.format("", rows.replace(" ", "  "))  # blocks, not as keyed
+        commented = base.format(" # or", rows)  # rewritten, then read
+        plain = base.format("", rows)  # read as it is
+        spaced = base.format("", rows.replace(" ", "  "))  # read a row at a time
         first, then = (commented, plain) if rows.startswith("1-") else (plain, commented)
         assert parse_blif(first) == parse_blif(then) == parse_blif(spaced)
     assert calls == [2, 2]
@@ -180,45 +246,39 @@ ODD_HEADER = [".numvars 4", ".numvars x", ".variables a b", ".variables a a c",
               ".inputs a b", ".constants --", ".garbage 1-1-", ".constants 01x",
               ".garbage", ".begin", ".end", ".foo", "", "# a comment"]
 GOOD_ROWS = ["t1 a", "t1 c", "t2 a b", "t2 c a", "t3 a b c", "t3 c b a"]
-# rows that the plain-gate loop must hand over to the checked loop
+# rows that take the checked branch
 ODD_ROWS = ["", "  ", "# a comment", "t1 a # a comment", "t01 a", "t2 a a",
             "t3 a b a", "t3 a a b", "t3 a b b", "t1 x", "t2 a x", "t4 a b c a", "t0",
             "t2 a", "t1 a b", "x a", ".end", ".begin", "  t1 a", "t3 a b c c"]
+ENDS = [[".end"], [".end"], [], [".end", ".end"], [".end", "t1 a"], [".end", ""]]
+REAL_BREAKS = ["\n"] * 4 + ["\r\n", "\u2028", " "]
 
 
-@st.composite
-def real_texts(draw):
+def seeded_real(rng):
     """.real text that is mostly as write_real writes it, with header lines
     dropped, changed or added, odd rows anywhere, and any .end."""
     header = list(HEADER)
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(header) - 1))
-        action = draw(st.sampled_from(["keep", "keep", "drop", "insert"]))
+    for _ in range(rng.randrange(3)):
+        at = rng.randrange(len(header))
+        action = rng.choice(["keep", "keep", "drop", "insert"])
         if action == "drop" and header[at] != ".begin":
             del header[at]
         elif action == "insert":
-            header.insert(at, draw(st.sampled_from(ODD_HEADER)))
-    rows = draw(st.lists(st.sampled_from(GOOD_ROWS), max_size=8))
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(rows)))
-        rows.insert(at, draw(st.sampled_from(ODD_ROWS)))
-    end = draw(st.sampled_from([[".end"], [".end"], [], [".end", ".end"],
-                                [".end", "t1 a"], [".end", ""]]))
-    lines = header + rows + end
-    breaks = st.sampled_from(["\n"] * 4 + ["\r\n", "\u2028", " "])
-    if draw(st.booleans()):
-        breaks = st.just("\n")
-    text = lines[0] + "".join(draw(breaks) + line for line in lines[1:])
-    return text + draw(st.sampled_from(["\n", ""]))
+            header.insert(at, rng.choice(ODD_HEADER))
+    rows = [rng.choice(GOOD_ROWS) for _ in range(rng.randrange(9))]
+    for _ in range(rng.randrange(3)):
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(ODD_ROWS))
+    lines = header + rows + rng.choice(ENDS)
+    return join(rng, lines, REAL_BREAKS, ["\n", ""])
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(real_texts())
-def test_real_fast_path_reads_as_the_checked_loop(text):
-    assert outcome(parse_real, text) == outcome(checked_rows_only, text)
+def test_seeded_real_reads_as_pinned():
+    rng = random.Random(18)
+    texts = [seeded_real(rng) for _ in range(1000)]
+    assert digest([parse_real], texts) == SEEDED_REAL_DIGEST
 
 
-@pytest.mark.parametrize("body, end", [
+REAL_BODIES = [
     (["t2 a b", "t2 a a", "t1 c"], ".end"),  # a bad row in the middle
     (["t2 a b", "t3 a a b"], ".end"),  # each line that a t3 may repeat
     (["t2 a b", "t3 a b a"], ".end"),
@@ -229,17 +289,23 @@ def test_real_fast_path_reads_as_the_checked_loop(text):
     (["t2 a b", "t1 b"], ""),  # .end missing
     (["t2 a b"], ".end\n.end"),
     (["t2 a b"], ".end\nt1 a"),
-])
-@pytest.mark.parametrize("header", [HEADER, [".numvars 4", *HEADER[2:]],
-                                    [HEADER[0], *HEADER[2:]],
-                                    [*HEADER[:5], ".constants --", *HEADER[6:]]])
-def test_real_samples_read_as_the_checked_loop(header, body, end):
+]
+REAL_HEADERS = [HEADER, [".numvars 4", *HEADER[2:]], [HEADER[0], *HEADER[2:]],
+                [*HEADER[:5], ".constants --", *HEADER[6:]]]
+
+
+@pytest.mark.parametrize("b", range(len(REAL_BODIES)))
+@pytest.mark.parametrize("h", range(len(REAL_HEADERS)))
+def test_real_sample_reads_as_pinned(h, b):
     # the header's errors take precedence over the first bad row
-    text = "\n".join([*header, *body, end]) + "\n"
-    assert outcome(parse_real, text) == outcome(checked_rows_only, text)
+    body, end = REAL_BODIES[b]
+    text = "\n".join([*REAL_HEADERS[h], *body, end]) + "\n"
+    texts = [variant(text) for variant in VARIANTS]
+    want = REAL_SAMPLE_DIGESTS[h * len(REAL_BODIES) + b]
+    assert digest([parse_real], texts)[:16] == want
 
 
-# ------------------------------------------- canonical text never falls back
+# -------------------------------------------- canonical text takes one path
 
 def canonical_circuits():
     for seed in range(12):
@@ -253,32 +319,82 @@ def canonical_circuits():
         yield parse_blif(text)
 
 
-def test_canonical_blif_never_reaches_the_line_reader(monkeypatch):
+def test_canonical_blif_is_never_rewritten(monkeypatch):
     expected = [(write_intermediate(c), c) for c in canonical_circuits()]
-    expected += [(text, lines_only(text)) for text in (
+    expected += [(text, rewritten(text, True)) for text in (
         buffer_chain_blif(5),
         ".model add1\n.inputs a0 b0\n.outputs s0 s1\n.names a0 b0 s0\n"
         "01 1\n10 1\n.names a0 b0 c\n11 1\n.names c s1\n1 1\n.end\n")]
 
-    def refuse(text, allow_copy):
-        raise AssertionError(f"fell back to the line reader:\n{text}")
+    def refuse(text):
+        raise AssertionError(f"rewrote canonical text:\n{text}")
 
-    monkeypatch.setattr(blif, "_read_lines", refuse)
+    monkeypatch.setattr(blif, "_logical_lines", refuse)
     for text, c in expected:
         assert parse_intermediate(text) == c
 
 
-def test_canonical_real_never_reaches_the_checked_loop(monkeypatch):
+ONE_PASS_TEXTS = {
+    "plain": HALF_ADDER_BLIF,
+    "commented": HALF_ADDER_BLIF.replace("a b s\n", "a b s # the sum\n"),
+    "crlf": HALF_ADDER_BLIF.replace("\n", "\r\n"),
+    "continued": HALF_ADDER_BLIF.replace(".inputs a b", ".inputs a \\\n  b"),
+    "malformed": HALF_ADDER_BLIF.replace("11 1", "12 1"),
+    "indented": HALF_ADDER_BLIF.replace("\n.names a b c", "\n  .names a b c"),
+}
+REWRITTEN = {"commented", "crlf", "continued"}
+
+
+@pytest.mark.parametrize("kind", ONE_PASS_TEXTS)
+def test_the_interpreter_runs_once_per_parse(monkeypatch, kind):
+    calls = []
+    read = blif._read_blocks
+
+    def counted(text, numbers, allow_copy):
+        calls.append(numbers is not None)
+        return read(text, numbers, allow_copy)
+
+    monkeypatch.setattr(blif, "_read_blocks", counted)
+    outcome(parse_intermediate, ONE_PASS_TEXTS[kind])
+    assert calls == [kind in REWRITTEN]
+
+
+def test_canonical_real_never_takes_the_checked_branch(monkeypatch):
     texts = [write_real(convert_circuit(slot_circuit(insert_copiers(c))))
              for c in canonical_circuits()]
     texts.append(not_chain_real(40))
     expected = [(text, parse_real(text)) for text in texts]
 
     def refuse(self, controls, target):
-        raise AssertionError("a gate row reached the checked loop")
+        raise AssertionError("a gate row took the checked branch")
 
-    # the checked loop builds each gate through RevGate.__init__, and the
-    # plain-gate loop builds none that way; .end and the header pass
+    # the checked branch builds each gate through RevGate.__init__, and
+    # the plain rows build none that way; .end and the header pass
     monkeypatch.setattr(RevGate, "__init__", refuse)
     for text, r in expected:
         assert parse_real(text) == r
+
+
+SEEDED_BLIF_DIGEST = "3d338bb852614ef756e71f37a933d0a9c5638cad7af9a181132b54428ca154da"
+SEEDED_REAL_DIGEST = "d9aa113e29bc1989574fa7ed24e092f2c185ff8c4c3fe12730e7f030509244f4"
+BLIF_SAMPLE_DIGESTS = """
+57241240059ab2b8 ef4213f551642339 b5904ff892714cde 115e0f7affa8a62c
+c3067ec208d3d79e fbcd78430e965030 312010dbb07aab95 dd32b99ffc7d27e6
+58c6fc1901e0ed8a 58c6fc1901e0ed8a 6a34f6e9645a6765 ae7176645fde9dd5
+de8540bf8a6a8a67 9c84b12dfe496c01 f5c554fca990b387 f5c554fca990b387
+c0f50bf0f92a2d38 303f45cd7f30c2df dd32b99ffc7d27e6 08c003eeeb4d6fe1
+fa2441d9d57f665b 1a35145b19530a62 0ce9f69bb94e2488 776494eb238d68f5
+dd32b99ffc7d27e6 a4fc2f0a53458179
+""".split()
+REAL_SAMPLE_DIGESTS = """
+e912f1acaad4b78b 667d8127afe02fd9 9c91ad154304af9f 9c650a4be17ff307
+512dddcdd9a2dd0d cdfc932ae8829e21 5c059c99ea18dfda 640aead185069d93
+f1d70b13ad7cedf3 f1d70b13ad7cedf3 82120975eb51e5b4 82120975eb51e5b4
+82120975eb51e5b4 82120975eb51e5b4 82120975eb51e5b4 82120975eb51e5b4
+82120975eb51e5b4 457830b407d7be94 ef0dc1989211b250 ef0dc1989211b250
+fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8
+fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8
+1ea839b59abc92fc 1ea839b59abc92fc c8e21a203db7d312 c8e21a203db7d312
+c8e21a203db7d312 c8e21a203db7d312 c8e21a203db7d312 c8e21a203db7d312
+c8e21a203db7d312 640aead185069d93 f1d70b13ad7cedf3 f1d70b13ad7cedf3
+""".split()
