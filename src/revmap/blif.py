@@ -21,6 +21,7 @@ write_intermediate writes it is read as it is; any other text is first
 rewritten by _logical_lines to one single-spaced logical line per "\n".
 """
 
+import re
 from itertools import product, repeat
 from operator import length_hint
 
@@ -124,8 +125,9 @@ def _parse(text, allow_copy):
     # _LINE_BREAKERS, as revmap writes it, has one logical line per "\n"
     # and is read as it is; any other text is rewritten once.  Each test
     # here is a scan for one character; a scan for lines that open with
-    # whitespace would cost a tenth of the read, so _read_blocks splits
-    # off such a line itself when it holds a directive.
+    # whitespace would cost a tenth of the read, so _read_blocks cuts the
+    # text into blocks anew, once, when it meets such a line that holds a
+    # directive.
     numbers = None
     if text[:1] != "." or any(map(text.__contains__, _LINE_BREAKERS)):
         text, numbers = _logical_lines(text)
@@ -169,16 +171,18 @@ def _read_blocks(text, numbers, allow_copy):
     def body_rows(head, body):
         """(offset, tokens) for each non-blank line of body before the first
         that opens with whitespace and a directive, which plain text may
-        hold; that line and the lines after it are split off as the next
-        block."""
+        hold.  From that line on, the rest of the text is cut anew into
+        blocks at every line that holds a directive, so no later block
+        holds one and this cut, the reader's one regular expression, runs
+        at most once a parse."""
         raws = body.split("\n")
         rows = []
         for j, raw in enumerate(raws):
             tokens = raw.split()
             if tokens and tokens[0][0] == ".":
-                k = current()
-                blocks[k] = "\n".join([head, *raws[:j]])
-                blocks.insert(k + 1, "\n".join([raw.lstrip()[1:], *raws[j + 1:]]))
+                tail = "\n.".join(["\n".join(raws[j:]), *blocks[current() + 1:]])
+                tail = re.sub(r"(?m)^[^\S\n]+\.", ".", tail)  # each directive flush left
+                blocks[current():] = ["\n".join([head, *raws[:j]]), *tail[1:].split("\n.")]
                 break
             if tokens:
                 rows.append((j + 1, tokens))

@@ -10,15 +10,19 @@ built directly, and any other row takes the checked branch.
 
 An outcome is what a reader makes of a text: its result, or its error's
 type, message and line.  The outcomes on fixed seeded families of texts,
-and on each sample below and its variants, are pinned as sha256 digests,
-recorded with the line-at-a-time readers that these readers replaced.  A
-mismatch means some text now reads differently, down to an error's line.
-The text revmap writes must never be rewritten, nor any of its gate rows
-take the checked branch.
+twenty texts to a digest, and on each sample below and its variants are
+pinned as sha256 digests of the results as write_intermediate and
+write_real spell them and of the errors' type, line and message.  They
+were recorded with the line-at-a-time readers that these readers
+replaced.  A mismatch names the texts that now read differently, down to
+an error's line.  The text revmap writes must never be rewritten, nor any
+of its gate rows take the checked branch, and an indented directive in
+plain text must cost the reader no more than the text's length.
 """
 
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +30,8 @@ from hypothesis import strategies as st
 
 import revmap.blif as blif
 from revmap import (
+    IrCircuit,
+    RevCircuit,
     RevGate,
     convert_circuit,
     gen_random_circuit,
@@ -54,13 +60,40 @@ def outcome(parse, text):
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
 
 
+def encoded(result):
+    """An outcome as text: a circuit as its writer spells it, an error as
+    its type, line and message."""
+    if isinstance(result, IrCircuit):
+        return write_intermediate(result)
+    if isinstance(result, RevCircuit):
+        return write_real(result)
+    name, message, line = result
+    return f"{name} at line {line}: {message}\n"
+
+
 def digest(parses, texts):
-    """The sha256 of each parse's outcome on each text, in order."""
+    """The sha256 of each parse's encoded outcome on each text, in order,
+    cut to 16 digits."""
     h = hashlib.sha256()
     for text in texts:
         for parse in parses:
-            h.update(f"{outcome(parse, text)!r}\n".encode())
-    return h.hexdigest()
+            h.update(encoded(outcome(parse, text)).encode() + b"\0")
+    return h.hexdigest()[:16]
+
+
+def assert_pinned(parses, texts, pinned):
+    """Each equal run of texts, one for each pinned digest, must read as
+    that digest; a run that does not is shown with its outcomes."""
+    size = len(texts) // len(pinned)
+    assert size * len(pinned) == len(texts)
+    for k, want in enumerate(pinned):
+        run = texts[k * size:(k + 1) * size]
+        if digest(parses, run) != want:
+            shown = "".join(
+                f"{text!r}\n" + "".join(encoded(outcome(p, text)) for p in parses)
+                for text in run)
+            pytest.fail(f"texts {k * size} to {(k + 1) * size - 1} of {len(texts)} "
+                        f"read differently from the pinned outcomes:\n{shown}")
 
 
 # ways to respell a text's line breaks, indents, line ends and token gaps
@@ -150,7 +183,7 @@ BLIF_READERS = (parse_intermediate, parse_blif)
 def test_seeded_blif_reads_as_pinned():
     rng = random.Random(18)
     texts = [seeded_blif(rng) for _ in range(1000)]
-    assert digest(BLIF_READERS, texts) == SEEDED_BLIF_DIGEST
+    assert_pinned(BLIF_READERS, texts, SEEDED_BLIF_DIGESTS)
 
 
 BLIF_SAMPLES = [
@@ -192,7 +225,7 @@ BLIF_SAMPLES = [
 @pytest.mark.parametrize("k", range(len(BLIF_SAMPLES)))
 def test_blif_sample_reads_as_pinned(k):
     texts = [variant(BLIF_SAMPLES[k]) for variant in VARIANTS]
-    assert digest(BLIF_READERS, texts)[:16] == BLIF_SAMPLE_DIGESTS[k]
+    assert_pinned(BLIF_READERS, texts, [BLIF_SAMPLE_DIGESTS[k]])
 
 
 def rewritten(text, allow_copy):
@@ -201,19 +234,62 @@ def rewritten(text, allow_copy):
         *blif._read_blocks(*blif._logical_lines(text), allow_copy))
 
 
+# lines of plain text: as write_intermediate writes them, or odd, but
+# with no comment or continuation; and what may pad them
+PLAIN_LINES = [".inputs a b", ".outputs y", ".names a b y", "11 1", "01 1",
+               ".names a y", "0 1", "1 1", ".copy a y z", ".end",
+               *(line for line in ODD_LINES if "#" not in line and "\\" not in line)]
+PADS = ["", "", " ", "\t", "\x1f", "\xa0", "\u3000"]
+
+
 @st.composite
-def blif_texts(draw):
-    """Seeded BLIF text, half of it plain."""
-    return seeded_blif(random.Random(draw(st.integers(0, 2**32))))
+def plain_blif_texts(draw):
+    """Text that opens with .model and is read as it is, each line of it
+    padded at either end or not."""
+    lines = draw(st.lists(st.tuples(st.sampled_from(PADS), st.sampled_from(PLAIN_LINES),
+                                    st.sampled_from(PADS)), max_size=16))
+    body = [f"{before}{line}{after}" for before, line, after in lines]
+    return "\n".join([".model m", *body]) + draw(st.sampled_from(["\n", ""]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(blif_texts())
+@given(plain_blif_texts())
 def test_plain_text_reads_as_its_rewritten_form(text):
+    assert not any(map(text.__contains__, blif._LINE_BREAKERS))
     assert outcome(parse_intermediate, text) == outcome(
         lambda t: rewritten(t, True), text)
     assert outcome(parse_blif, text) == outcome(
         lambda t: rewritten(t, False), text)
+
+
+def indented_blif(n):
+    """A netlist of n gates in which every directive after the first is
+    indented, so plain text whose first block runs to its end."""
+    gates = "".join(f"  .names a b w{i}\n  11 1\n" for i in range(n))
+    return f".model m\n  .inputs a b\n  .outputs w0\n{gates}  .end\n"
+
+
+def test_indented_directives_cost_the_text_once():
+    # The reader cuts an indented directive out of the block it is read
+    # in; the text that it splits into rows must grow as the text grows,
+    # not as the text times its directives.
+    def split(text):
+        sizes = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "body_rows":
+                sizes.append(len(frame.f_locals["body"]))
+
+        sys.setprofile(profile)
+        try:
+            c = parse_intermediate(text)
+        finally:
+            sys.setprofile(None)
+        assert sizes and len(c.gates) == text.count(".names")
+        return sum(sizes)
+
+    small, large = indented_blif(1000), indented_blif(4000)
+    assert split(large) / split(small) < 1.25 * len(large) / len(small)
 
 
 def test_the_cover_cache_serves_every_spelling(monkeypatch):
@@ -275,7 +351,7 @@ def seeded_real(rng):
 def test_seeded_real_reads_as_pinned():
     rng = random.Random(18)
     texts = [seeded_real(rng) for _ in range(1000)]
-    assert digest([parse_real], texts) == SEEDED_REAL_DIGEST
+    assert_pinned([parse_real], texts, SEEDED_REAL_DIGESTS)
 
 
 REAL_BODIES = [
@@ -302,7 +378,7 @@ def test_real_sample_reads_as_pinned(h, b):
     text = "\n".join([*REAL_HEADERS[h], *body, end]) + "\n"
     texts = [variant(text) for variant in VARIANTS]
     want = REAL_SAMPLE_DIGESTS[h * len(REAL_BODIES) + b]
-    assert digest([parse_real], texts)[:16] == want
+    assert_pinned([parse_real], texts, [want])
 
 
 # -------------------------------------------- canonical text takes one path
@@ -375,26 +451,54 @@ def test_canonical_real_never_takes_the_checked_branch(monkeypatch):
         assert parse_real(text) == r
 
 
-SEEDED_BLIF_DIGEST = "3d338bb852614ef756e71f37a933d0a9c5638cad7af9a181132b54428ca154da"
-SEEDED_REAL_DIGEST = "d9aa113e29bc1989574fa7ed24e092f2c185ff8c4c3fe12730e7f030509244f4"
+SEEDED_BLIF_DIGESTS = """
+e5aa06111142cd3d 9f479b042b75298d d3928fd384d50635 1df7b73f3cc9cb53
+48d5a6607fc8228b 647359fa6de1fcca 8d055175dc5bc79d ec8e6066107dbaf6
+bf91aa66bd15e595 baa53352fe152cf8 fa024d382e75a12f 01ceac73be88d7f2
+493d74b22024b84d 86118080412d1218 1bbe07e0dbc66213 35e2cca82d0609df
+467712125ef17b1d 18ab1eb8d2bfc354 ea3111f50f91faf0 397201f320352d87
+090fdf4fe6d40bc8 404d886fd1bdb8ec 1c6d65493fdfce8e a12773e9f2fd958c
+9a84804d0ab30013 a22ae69fdf0e71b4 ddb41949380796a9 60a89e5d5dd34c74
+31dd5f2a6cc5fe07 b327d2eb59a221de 5779e612496a51a2 5c574a995c47c660
+b45382359239ad54 816226a1a90f2bd5 92beb490128a21e5 9944b378cf082126
+498863759e40087f 4f341b861b89d57e 6894049b37717337 40192a25e35834a2
+e05ad8bcb16549a7 20666fcd8232a888 d6dd50ed28ce7cf7 09b3cf7ffd5282e9
+70821c0bb0809fa5 f46c6f69675b1541 beea79bb26d6abef 2e75b8b34248999e
+2d77e055f80298d6 91fcbcb789551a16
+""".split()
+SEEDED_REAL_DIGESTS = """
+72dc8396fbda955c 9daf2e9ebac6ee64 394cfc3809fd01a0 3b6cf1d77fd603f3
+42ff81d0bf4efac6 e6427a08e146c57d ab4d46e0ead319f2 09e09ca7715c352d
+d1da38265ef62235 ebafc0695425f2a4 0aec1d7d20125281 3f00c41c6878713a
+13e60a6c2087032d 31c64abe8bcc0bc6 90710076101ce893 dc7b63ff724fa714
+0c3040c6c116c8a8 6798076b71913c78 76a42f69848fc4d7 50ace59444dcdd25
+ef6cb3a77c25e0e8 72dfcdfe52b8a113 fcbe35fc241b7ed1 8a71bc2ff6b0e966
+8d943980ad2b1f6f 6d2434b3ba802369 96353ff838d8ca82 ccecc09f8adc53bb
+c441f9912daa4099 b3c190f1c7d17e87 c655bd8a3ba340b7 4ef85e921f20e07a
+d4f7eecb02942eac b362e217f6582d54 57c77cd58a08fefa 794c0814bc01183f
+a8d145a5b139face 089cce2f1f274eb0 df4c3034444af738 67af6dcd98271b79
+3e6c7bca9cb08743 12deb5f80f38bc7c 61bb8ab65c3bf431 8525cd9fdc66f69f
+c5e676457a9af8f2 684ed9d1e9b30dcd 94afe709b4ecb899 78e9b6640ed32534
+4236bfcc5143fb87 55ece87ce86134d8
+""".split()
 BLIF_SAMPLE_DIGESTS = """
-57241240059ab2b8 ef4213f551642339 b5904ff892714cde 115e0f7affa8a62c
-c3067ec208d3d79e fbcd78430e965030 312010dbb07aab95 dd32b99ffc7d27e6
-58c6fc1901e0ed8a 58c6fc1901e0ed8a 6a34f6e9645a6765 ae7176645fde9dd5
-de8540bf8a6a8a67 9c84b12dfe496c01 f5c554fca990b387 f5c554fca990b387
-c0f50bf0f92a2d38 303f45cd7f30c2df dd32b99ffc7d27e6 08c003eeeb4d6fe1
-fa2441d9d57f665b 1a35145b19530a62 0ce9f69bb94e2488 776494eb238d68f5
-dd32b99ffc7d27e6 a4fc2f0a53458179
+1860e701f66fb8c4 39598c2550823042 ea1039f8693a0ccc c773d357aeeb6ce5
+2a2df3264f9a6a13 e61add353b6652ff b38d3a0d0c932747 2abd43424cade3e4
+68c05c2e98add901 68c05c2e98add901 2ce6c57d0a80d792 fb0f55bfea7d7ae4
+f135bfdbdceecf21 234db9d4b74c6325 8a5742d5ef86818b 8a5742d5ef86818b
+6de2b8dcf41329a2 6f007111d4256c7d 2abd43424cade3e4 25301a23b28add17
+ab5d7fd9a1dd4535 f5db56d038d0b80a 778ca7522a354ec2 d6753417dd4fe51e
+2abd43424cade3e4 70ea08a334fa9760
 """.split()
 REAL_SAMPLE_DIGESTS = """
-e912f1acaad4b78b 667d8127afe02fd9 9c91ad154304af9f 9c650a4be17ff307
-512dddcdd9a2dd0d cdfc932ae8829e21 5c059c99ea18dfda 640aead185069d93
-f1d70b13ad7cedf3 f1d70b13ad7cedf3 82120975eb51e5b4 82120975eb51e5b4
-82120975eb51e5b4 82120975eb51e5b4 82120975eb51e5b4 82120975eb51e5b4
-82120975eb51e5b4 457830b407d7be94 ef0dc1989211b250 ef0dc1989211b250
-fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8
-fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8 fa4a4be9d7a84be8
-1ea839b59abc92fc 1ea839b59abc92fc c8e21a203db7d312 c8e21a203db7d312
-c8e21a203db7d312 c8e21a203db7d312 c8e21a203db7d312 c8e21a203db7d312
-c8e21a203db7d312 640aead185069d93 f1d70b13ad7cedf3 f1d70b13ad7cedf3
+0c964aff55cad848 4b9a9607cd816481 58526ece4ea03c89 69747f2f37c61d9c
+9ac5b4ae6a361161 0d50709cd1d6ef7e c315a49b85cd5977 4d7e273f1bcf95b2
+7894a7d487dd96c2 7894a7d487dd96c2 0ec2f948f92a1f1f 0ec2f948f92a1f1f
+0ec2f948f92a1f1f 0ec2f948f92a1f1f 0ec2f948f92a1f1f 0ec2f948f92a1f1f
+0ec2f948f92a1f1f a76bda2cf884d57f b7575dba1f0f1c40 b7575dba1f0f1c40
+18309a3337d2ad55 18309a3337d2ad55 18309a3337d2ad55 18309a3337d2ad55
+18309a3337d2ad55 18309a3337d2ad55 18309a3337d2ad55 18309a3337d2ad55
+8db04dc71cc5c858 8db04dc71cc5c858 9f8710441b8028b1 9f8710441b8028b1
+9f8710441b8028b1 9f8710441b8028b1 9f8710441b8028b1 9f8710441b8028b1
+9f8710441b8028b1 4d7e273f1bcf95b2 7894a7d487dd96c2 7894a7d487dd96c2
 """.split()
