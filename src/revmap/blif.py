@@ -17,13 +17,13 @@ input name everywhere downstream, including in .outputs.
 
 Both dialects have one reader, _read_blocks, which reads a directive block
 at a time and raises every syntax error with its line.  Text as
-write_intermediate writes it is read as it is; any other text is first
-rewritten by _logical_lines to one single-spaced logical line per "\n".
+write_intermediate writes it is read as it is; any other text, an
+indented directive included, is first rewritten by _logical_lines to one
+single-spaced logical line per "\n".
 """
 
 import re
 from itertools import product, repeat
-from operator import length_hint
 
 from .errors import BlifError, UnsupportedError, ValidationError
 from .ir import IrCircuit, IrGate, IrGateKind, Violation, validate_circuit
@@ -120,16 +120,18 @@ _LINE_BREAKERS = ("#", "\\", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                   "\x85", "\u2028", "\u2029")
 
 
+# a line that opens with whitespace and then a directive
+_INDENTED_DIRECTIVE = re.compile(r"\n[^\S\n]+\.")
+
+
 def _parse(text, allow_copy):
-    # Text that opens with a directive and has no character of
-    # _LINE_BREAKERS, as revmap writes it, has one logical line per "\n"
-    # and is read as it is; any other text is rewritten once.  Each test
-    # here is a scan for one character; a scan for lines that open with
-    # whitespace would cost a tenth of the read, so _read_blocks cuts the
-    # text into blocks anew, once, when it meets such a line that holds a
-    # directive.
+    # Text that opens with a directive, has no character of _LINE_BREAKERS
+    # and no indented directive, as revmap writes it, has one logical line
+    # per "\n" and every directive at a "\n.", so it is read as it is; any
+    # other text is rewritten once.
     numbers = None
-    if text[:1] != "." or any(map(text.__contains__, _LINE_BREAKERS)):
+    if (text[:1] != "." or any(map(text.__contains__, _LINE_BREAKERS))
+            or _INDENTED_DIRECTIVE.search(text)):
         text, numbers = _logical_lines(text)
     return _resolve_aliases(*_read_blocks(text, numbers, allow_copy))
 
@@ -139,12 +141,12 @@ def _read_blocks(text, numbers, allow_copy):
 
     Each "\n"-ended line of text is a logical line, and numbers, unless it
     is None, holds each one's line in the file.  Every directive opens a
-    block at a "\n.", and a .names block holds its head and its cover
-    rows, so a cover as write_intermediate spells it is looked up whole.
-    Any other block body is read a line at a time.  The circuit's names
-    are as written: _resolve_aliases renames the buffers' outputs.  Every
-    syntax error of the dialect is raised here, and only then is its line
-    counted.
+    block at a "\n." (_parse rewrote any text that indents one), and a
+    .names block holds its head and its cover rows, so a cover as
+    write_intermediate spells it is looked up whole.  Any other block body
+    is split into rows.  The circuit's names are as written:
+    _resolve_aliases renames the buffers' outputs.  Every syntax error of
+    the dialect is raised here, and only then is its line counted.
     """
     model = None
     inputs = []
@@ -156,41 +158,20 @@ def _read_blocks(text, numbers, allow_copy):
         first = text.split(None, 1)[0]
         raise BlifError(f"expected a directive, got {first!r}", numbers[0])
     blocks = text[1:].split("\n.") if text else []
-    rest = iter(blocks)
-
-    def current():
-        """The index in blocks of the block being read."""
-        return len(blocks) - length_hint(rest) - 1
 
     def line(offset=0):
         """The file line of the offset-th line of the block being read."""
-        k = current()
         n = k + offset + sum(map(str.count, blocks[:k], repeat("\n")))
         return n + 1 if numbers is None else numbers[n]
 
-    def body_rows(head, body):
-        """(offset, tokens) for each non-blank line of body before the first
-        that opens with whitespace and a directive, which plain text may
-        hold.  From that line on, the rest of the text is cut anew into
-        blocks at every line that holds a directive, so no later block
-        holds one and this cut, the reader's one regular expression, runs
-        at most once a parse."""
-        raws = body.split("\n")
-        rows = []
-        for j, raw in enumerate(raws):
-            tokens = raw.split()
-            if tokens and tokens[0][0] == ".":
-                tail = "\n.".join(["\n".join(raws[j:]), *blocks[current() + 1:]])
-                tail = re.sub(r"(?m)^[^\S\n]+\.", ".", tail)  # each directive flush left
-                blocks[current():] = ["\n".join([head, *raws[:j]]), *tail[1:].split("\n.")]
-                break
-            if tokens:
-                rows.append((j + 1, tokens))
-        return rows
+    def body_rows(body):
+        """(offset, tokens) for each non-blank line of body."""
+        return [(j, tokens) for j, tokens in
+                enumerate(map(str.split, body.split("\n")), 1) if tokens]
 
     append = gates.append
     known = _KNOWN_COVERS.get
-    for block in rest:
+    for k, block in enumerate(blocks):
         head, _, body = block.partition("\n")
         tokens = head.split()
         if ended or not tokens or head[0].isspace():
@@ -221,7 +202,7 @@ def _read_blocks(text, numbers, allow_copy):
             # a cover as write_intermediate spells it is its own key
             kind = known((n, body), _UNKNOWN)
             if kind is _UNKNOWN:
-                rows = body_rows(head, body)
+                rows = body_rows(body)
                 patterns = _PATTERNS[n]
                 for j, row in rows:
                     if len(row) != 2:
@@ -269,7 +250,7 @@ def _read_blocks(text, numbers, allow_copy):
         else:
             raise BlifError(f"unknown directive .{directive}", line())
         if body and not body.isspace():  # lines under a one-line directive
-            rows = body_rows(head, body)
+            rows = body_rows(body)
             if rows:  # the first is out of place
                 j, row = rows[0]
                 if ended:
@@ -327,7 +308,17 @@ def _resolve_aliases(c, aliases):
                 repeated.append(name)
             seen.add(name)
 
-    def violations():
+    # A buffer that nothing reads leaves no trace in the circuit, so its
+    # chain is resolved here: a cycle is rejected as above, and an undriven
+    # root is listed after the circuit's violations, as a read one would be.
+    # A repeated output that is an alias is reported here too, as the
+    # resolved circuit names it by its net.
+    roots = [r for r in dict.fromkeys(map(resolve, aliases)) if r not in driven]
+    lost = []
+    if roots:
+        read = {net for g in gates for net in g.inputs}.union(resolved.outputs)
+        lost = [Violation("undriven-input", r) for r in roots if r not in read]
+    if lost or not aliases.keys().isdisjoint(repeated):
         # validate_circuit names a repeated output by its net; name it as
         # .outputs writes it.  No parsed name is bad, so the violations
         # open with the repeats in .inputs, then those in .outputs.
@@ -336,19 +327,7 @@ def _resolve_aliases(c, aliases):
         found[start:start + len(repeated)] = [
             Violation("duplicate-name", name) for name in repeated
         ]
-        return found
-
-    # A buffer that nothing reads leaves no trace in the circuit, so its
-    # chain is resolved here: a cycle is rejected as above, and an undriven
-    # root is listed after the circuit's violations, as a read one would be.
-    roots = [r for r in dict.fromkeys(map(resolve, aliases)) if r not in driven]
-    if roots:
-        read = {net for g in gates for net in g.inputs}.union(resolved.outputs)
-        lost = [Violation("undriven-input", r) for r in roots if r not in read]
-        if lost:
-            raise ValidationError(violations() + lost)
-    if not aliases.keys().isdisjoint(repeated):
-        raise ValidationError(violations())
+        raise ValidationError(found + lost)
     return resolved
 
 

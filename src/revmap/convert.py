@@ -17,7 +17,7 @@ running a conversion.
 
 from dataclasses import dataclass
 
-from .ir import IrGateKind, Line, RevCircuit, RevGate, _fresh_names
+from .ir import IrGateKind, Line, RevCircuit, RevGate, _fresh_names, check_circuit
 from .templates import template_for
 
 
@@ -32,8 +32,13 @@ class TraceEntry:
 
 
 def convert_circuit(s, restore_controls=True):
-    """Convert a slotted fanout-free circuit into a reversible one."""
+    """Convert a slotted fanout-free circuit into a reversible one.
+
+    The circuit must validate (ValidationError); for slot_circuit's output
+    that check is a lookup.
+    """
     c = s.circuit
+    check_circuit(c)
     # per line: its constant bit (None on a primary input) and the net it
     # carries; the constants' names are drawn once all lines are known
     constants = [None] * len(c.inputs)

@@ -28,16 +28,6 @@ from .ir import (
 )
 
 
-def fanout_report(c):
-    """List (net, sink_count) for every net with two or more sinks."""
-    records = build_netlist(c)
-    return [
-        (net, len(rec.sinks))
-        for net, rec in records.items()
-        if len(rec.sinks) >= 2
-    ]
-
-
 def insert_copiers(c):
     """Return an equivalent circuit in which every net drives exactly one sink.
 

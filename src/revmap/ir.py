@@ -20,8 +20,9 @@ check_circuit and detect_cycles are views of it; build_netlist takes only
 the driver map from it and walks the gates itself for each net's sinks.
 Only this module builds an index or its driver map.  An index is fresh or
 derived.  A circuit read from a file, or built by a caller, gets a fresh
-one on first use: set checks decide whether it is sound, and the ordered
-walk that lists the violations runs only when one of them fails.  The
+one on first use: set checks and a lookup of each gate input decide
+whether it is sound, and the ordered walk, which alone lists violations,
+runs only when one of them fails.  The
 circuit that insert_copiers builds is sound by construction and gets a
 derived index from _derive_index, which checks nothing, so its first
 validation is already a lookup.
@@ -379,60 +380,49 @@ def _derive_index(c):
 class _NetIndex:
     """The answers to every graph question about one IrCircuit.
 
-    violations is validate_circuit's list as a tuple.  driver maps each
-    driven net to its gate's position, None for a primary input: the
-    primary inputs first, then each gate's outputs in gate order.  Only
-    a sound circuit's map is read, as an unsound one may give a net two
-    drivers.  Only if the circuit validates does one Kahn pass set order
-    (the gates that can be placed, each after its drivers), level (per
-    placed gate, 1 + the highest level of its drivers, 1 if it reads only
-    primary inputs) and cycle (detect_cycles' witness as a tuple, None if
-    every gate is placed).
+    violations is validate_circuit's list as a tuple.  Only if it is empty
+    are the rest set.  driver maps each driven net to its gate's position,
+    None for a primary input: the primary inputs first, then each gate's
+    outputs in gate order.  One Kahn pass sets order (the gates that can
+    be placed, each after its drivers), level (per placed gate, 1 + the
+    highest level of its drivers, 1 if it reads only primary inputs) and
+    cycle (detect_cycles' witness as a tuple, None if every gate is
+    placed).
 
-    An index is fresh or derived.  A fresh one, _NetIndex(c), decides
-    soundness with the set checks of _sound_driver and with the undriven
-    reads the readers pass finds; only if one fails does _walk list the
-    violations, in their documented order.  A derived one,
-    _NetIndex(c, driver), is given the driver map of a circuit that is
-    sound by construction (see _derive_index) and checks nothing.  Both
-    place the gates with the same readers and Kahn passes.
+    An index is fresh or derived.  A fresh one, _NetIndex(c), takes its
+    driver map from the set checks of _sound_driver and then looks up each
+    gate input in it; if the checks fail, or a lookup finds an undriven or
+    unhashable name, _walk lists the violations, in their documented
+    order.  A derived one, _NetIndex(c, driver), is given the driver map
+    of a circuit that is sound by construction (see _derive_index) and
+    checks nothing.  Both place the gates with the same readers and Kahn
+    passes.
     """
 
     __slots__ = ("violations", "driver", "order", "level", "cycle")
 
     def __init__(self, c, driver=None):
         gates = c.gates
-        sound = driver is not None
-        if not sound:
-            driver, sound = _sound_driver(c)
-        undriven = []  # each read of an undriven net, in read order
+        if driver is None:
+            driver = _sound_driver(c)
         pending = []  # per gate, how many of its inputs other gates drive
         readers = [[] for _ in gates]  # per gate, the gates reading it
-        get = driver.get
-        try:
-            for i, g in enumerate(gates):
-                n = 0
-                for name in g.inputs:
-                    # undriven serves as a sentinel that no position equals
-                    d = get(name, undriven)
-                    if d is undriven:
-                        undriven.append(name)
-                    elif d is not None:
-                        readers[d].append(i)
-                        n += 1
-                pending.append(n)
-        except TypeError:  # an unhashable name, which _walk reports as bad
-            sound = False
-            undriven = [
-                name for g in gates for name in g.inputs
-                if _key(name) not in driver
-            ]
+        if driver is not None:
+            try:
+                for i, g in enumerate(gates):
+                    n = 0
+                    for name in g.inputs:
+                        d = driver[name]
+                        if d is not None:
+                            readers[d].append(i)
+                            n += 1
+                    pending.append(n)
+            except (KeyError, TypeError):  # an undriven or unhashable read
+                driver = None
         self.driver = driver
         self.order = self.level = self.cycle = None
-        if not sound or undriven:
-            found = _walk(c)
-            found += [Violation("undriven-input", name) for name in undriven]
-            self.violations = tuple(found)
+        if driver is None:
+            self.violations = tuple(_walk(c))
             return
         self.violations = ()
         level = [1] * len(gates)
@@ -465,18 +455,17 @@ _WHITESPACE = re.compile(r"\s")  # exactly the characters str.split splits on
 
 
 def _sound_driver(c):
-    """Return c's driver map and whether the set checks find c sound.
+    """Return c's driver map if the set checks find c sound, else None.
 
-    If, in addition, no gate reads an undriven net, sound means that _walk
-    finds no violation: the map has one key per primary input and gate
-    output (so no net has two drivers and no list repeats a name), the
-    .outputs are distinct and driven, every gate has its kind's arity, and
-    no name is empty or holds whitespace.  Every name such a circuit
-    mentions is a key of the map, so the keys are checked for whitespace
-    in one search of their concatenation.  A name that is not a str makes
-    the concatenation, or a set of the .outputs, fail and the circuit
-    unsound here, so that _walk judges it; the map then holds each
-    unhashable name as its _key.
+    If, in addition, no gate reads a net that is not a key of the map,
+    sound means that _walk finds no violation: the map has one key per
+    primary input and gate output (so no net has two drivers and no list
+    repeats a name), the .outputs are distinct and driven, every gate has
+    its kind's arity, and no name is empty or holds whitespace.  Every
+    name such a circuit mentions is a key of the map, so the keys are
+    checked for whitespace in one search of their concatenation.  A name
+    that is unhashable or not a str makes the map, the concatenation or a
+    set of the .outputs fail, and c unsound here.
     """
     inputs, outputs = c.inputs, c.outputs
     try:
@@ -490,24 +479,17 @@ def _sound_driver(c):
             size += len(outs)
             for name in outs:
                 driver[name] = i
-    except TypeError:  # an unhashable name
-        driver = dict.fromkeys(map(_key, inputs))
-        for i, g in enumerate(c.gates):
-            for name in g.outputs:
-                driver[_key(name)] = i
-        return driver, False
-    try:
-        joined = "".join(driver)
-        return driver, (
+        sound = (
             arity
             and len(driver) == size
             and len(set(outputs)) == len(outputs)
             and all(map(driver.__contains__, outputs))
             and "" not in driver
-            and not _WHITESPACE.search(joined)
+            and not _WHITESPACE.search("".join(driver))
         )
-    except TypeError:  # a name that is not a str
-        return driver, False
+    except TypeError:  # a name that is unhashable or not a str
+        return None
+    return driver if sound else None
 
 
 def _key(name):
@@ -522,10 +504,11 @@ def _key(name):
 
 
 def _walk(c):
-    """List c's violations but for undriven reads, in order.
+    """List c's violations in their documented order.
 
-    The undriven reads are found by _NetIndex's readers pass, and reported
-    after these.
+    The reference judge of soundness, and the slow path: a fresh index
+    calls it only on a circuit its set checks or lookups find unsound.
+    Each read of an undriven net, in read order, comes last.
     """
     found = []
 
@@ -564,4 +547,8 @@ def _walk(c):
     for name in c.outputs:
         if _key(name) not in driven:
             found.append(Violation("undriven-output", name))
+    for g in c.gates:
+        for name in g.inputs:
+            if _key(name) not in driven:
+                found.append(Violation("undriven-input", name))
     return found

@@ -5,7 +5,13 @@ tests compare pipeline results against these instead of against other
 pipeline code.
 """
 
-from revmap import IrGateKind, insert_copiers, parse_blif, slot_circuit
+from revmap import (
+    IrGateKind,
+    build_netlist,
+    insert_copiers,
+    parse_blif,
+    slot_circuit,
+)
 
 K = IrGateKind
 
@@ -18,6 +24,13 @@ BOOL_FN = {
     K.XOR: lambda a, b: (a + b) % 2,
     K.XNOR: lambda a, b: 1 - (a + b) % 2,
 }
+
+
+def fanouts(c):
+    """(net, sink count) for every net of c with two or more sinks."""
+    return [(net, len(rec.sinks)) for net, rec in build_netlist(c).items()
+            if len(rec.sinks) >= 2]
+
 
 CANONICAL_ROWS = {
     K.NOT: ("0 1",),

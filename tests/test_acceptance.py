@@ -27,10 +27,10 @@ from revmap import (
 )
 from revmap import Line, RevCircuit
 from revmap.cli import main
-from revmap.fanout import fanout_report
 from samples import (
     HALF_ADDER_BLIF,
     buffer_chain_blif,
+    fanouts,
     not_chain_blif,
     not_chain_real,
     pipeline,
@@ -144,9 +144,9 @@ def test_c4_two_stage_example_slots_with_pass_through():
 def test_c5_fanout_prep_on_200_random_circuits_under_5s():
     start = time.perf_counter()
     for c in random_suite():
-        report = fanout_report(c)
+        report = fanouts(c)
         p = insert_copiers(c)
-        assert fanout_report(p) == []
+        assert fanouts(p) == []
         copies = sum(d - 1 for _, d in report)
         assert len(p.gates) == len(c.gates) + copies
         assert same_function(c, p)

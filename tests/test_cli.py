@@ -63,12 +63,13 @@ def validations(monkeypatch):
     return calls
 
 
-def test_convert_validates_the_circuit_twice(half_adder, tmp_path, validations):
-    # once before fanout removal, once before slotting
+def test_convert_validates_each_circuit_before_use(half_adder, tmp_path, validations):
+    # the parsed circuit before fanout removal; the prepared one before
+    # slotting and again, from its memo, before conversion
     out = tmp_path / "ha.real"
     assert main(["convert", str(half_adder), "-o", str(out)]) == 0
     assert out.read_text() == HALF_ADDER_REAL
-    assert len(validations) == 2
+    assert len(validations) == 3 and validations[1] is validations[2]
 
 
 def test_verify_validates_the_circuit_once(half_adder, tmp_path, validations):

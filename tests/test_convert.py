@@ -12,12 +12,14 @@ from revmap import (
     Role,
     Slot,
     SlottedCircuit,
+    ValidationError,
     check_equivalence,
     convert_circuit,
     gen_random_circuit,
     insert_copiers,
     slot_circuit,
     template_for,
+    write_real,
 )
 from revmap.convert import conversion_trace
 from samples import AND_BLIF, HALF_ADDER_BLIF, pipeline, single_gate_blif
@@ -145,6 +147,15 @@ def test_gate_reading_one_net_twice_is_rejected():
     s = SlottedCircuit(c, (Slot((), ("a",)), Slot((0,), ("y",))))
     with pytest.raises(RuntimeError, match="reads one line twice"):
         convert_circuit(s)
+
+
+def test_an_unsound_circuit_is_rejected_before_conversion():
+    # a caller-built slotting of a circuit whose input name holds a space
+    # would convert to a .real that declares one line under two names
+    c = IrCircuit("m", ("a b",), ("y",), (IrGate(K.NOT, ("a b",), ("y",)),))
+    s = SlottedCircuit(c, (Slot((), ("a b",)), Slot((0,), ("y",))))
+    with pytest.raises(ValidationError, match="bad-name: 'a b'"):
+        write_real(convert_circuit(s))
 
 
 def test_constant_names_dodge_existing_nets():

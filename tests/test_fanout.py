@@ -17,8 +17,7 @@ from revmap import (
     parse_intermediate,
     write_intermediate,
 )
-from revmap.fanout import fanout_report
-from samples import HALF_ADDER_BLIF
+from samples import HALF_ADDER_BLIF, fanouts
 
 K = IrGateKind
 
@@ -33,7 +32,7 @@ def assert_same_function(a, b):
 
 def test_half_adder_report():
     c = parse_blif(HALF_ADDER_BLIF)
-    assert fanout_report(c) == [("a", 2), ("b", 2)]
+    assert fanouts(c) == [("a", 2), ("b", 2)]
 
 
 def test_half_adder_copies():
@@ -51,7 +50,7 @@ def test_every_net_single_sink_after():
     c = parse_blif(HALF_ADDER_BLIF)
     p = insert_copiers(c)
     assert all(len(r.sinks) == 1 for r in build_netlist(p).values())
-    assert fanout_report(p) == []
+    assert fanouts(p) == []
 
 
 def test_idempotent():
@@ -62,7 +61,7 @@ def test_idempotent():
 
 def test_gate_count_arithmetic():
     c = parse_blif(HALF_ADDER_BLIF)
-    extra = sum(d - 1 for _, d in fanout_report(c))
+    extra = sum(d - 1 for _, d in fanouts(c))
     assert len(insert_copiers(c).gates) == len(c.gates) + extra
 
 

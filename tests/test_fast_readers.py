@@ -16,13 +16,12 @@ write_real spell them and of the errors' type, line and message.  They
 were recorded with the line-at-a-time readers that these readers
 replaced.  A mismatch names the texts that now read differently, down to
 an error's line.  The text revmap writes must never be rewritten, nor any
-of its gate rows take the checked branch, and an indented directive in
-plain text must cost the reader no more than the text's length.
+of its gate rows take the checked branch, and text with an indented
+directive is rewritten once, so that it costs no more than its length.
 """
 
 import hashlib
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -264,32 +263,60 @@ def test_plain_text_reads_as_its_rewritten_form(text):
 
 def indented_blif(n):
     """A netlist of n gates in which every directive after the first is
-    indented, so plain text whose first block runs to its end."""
+    indented."""
     gates = "".join(f"  .names a b w{i}\n  11 1\n" for i in range(n))
     return f".model m\n  .inputs a b\n  .outputs w0\n{gates}  .end\n"
 
 
-def test_indented_directives_cost_the_text_once():
-    # The reader cuts an indented directive out of the block it is read
-    # in; the text that it splits into rows must grow as the text grows,
+def test_indented_directives_cost_the_text_once(monkeypatch):
+    # Text with an indented directive is rewritten once, and the reader
+    # reads the rewritten text: what it reads must grow as the text grows,
     # not as the text times its directives.
-    def split(text):
-        sizes = []
+    read = blif._read_blocks
+    sizes = []
 
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "body_rows":
-                sizes.append(len(frame.f_locals["body"]))
+    def counted(text, numbers, allow_copy):
+        assert numbers is not None  # rewritten
+        sizes.append(len(text))
+        return read(text, numbers, allow_copy)
 
-        sys.setprofile(profile)
-        try:
-            c = parse_intermediate(text)
-        finally:
-            sys.setprofile(None)
-        assert sizes and len(c.gates) == text.count(".names")
-        return sum(sizes)
-
+    monkeypatch.setattr(blif, "_read_blocks", counted)
     small, large = indented_blif(1000), indented_blif(4000)
-    assert split(large) / split(small) < 1.25 * len(large) / len(small)
+    for text in (small, large):
+        assert len(parse_intermediate(text).gates) == text.count(".names")
+    assert sizes[1] / sizes[0] < 1.25 * len(large) / len(small)
+
+
+INDENTED = """.model m
+.inputs a b
+.outputs y z
+.names a b w
+11 1
+.names w y
+0 1
+.copy a z q
+.names b q v
+01 1
+10 1
+bad row
+.end
+"""
+
+
+def indent(text, pad):
+    """text with pad before every directive but .model."""
+    return "\n".join(pad + line if line[:1] == "." and line[:6] != ".model" else line
+                     for line in text.split("\n"))
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\x1f", "\xa0", "\u3000", " \t\u3000"])
+def test_indented_directives_read_as_flush_left(pad):
+    # the same circuit, and the same error on the same file line
+    for text in (INDENTED, INDENTED.replace("bad row\n", "")):
+        for parse in (parse_intermediate, parse_blif):
+            assert outcome(parse, indent(text, pad)) == outcome(parse, text)
+    assert outcome(parse_intermediate, indent(INDENTED, pad)) == (
+        "BlifError", "line 12: bad cover pattern 'bad'", 12)
 
 
 def test_the_cover_cache_serves_every_spelling(monkeypatch):
@@ -418,7 +445,7 @@ ONE_PASS_TEXTS = {
     "malformed": HALF_ADDER_BLIF.replace("11 1", "12 1"),
     "indented": HALF_ADDER_BLIF.replace("\n.names a b c", "\n  .names a b c"),
 }
-REWRITTEN = {"commented", "crlf", "continued"}
+REWRITTEN = {"commented", "crlf", "continued", "indented"}
 
 
 @pytest.mark.parametrize("kind", ONE_PASS_TEXTS)

@@ -1,10 +1,12 @@
 """The netlist index: how a fresh one decides soundness, and the derived one.
 
-A fresh index decides soundness with set checks and runs the ordered walk
-only when one fails, so the set checks must call a circuit sound exactly
-when the walk finds no violation.  insert_copiers hands its result an
-index derived from its parent's checks instead of building one; it must
-equal a fresh index of the same circuit in every field.
+A fresh index decides soundness with set checks and lookups, and runs the
+ordered walk, the reference judge, only when one fails: so the set checks
+must call a circuit sound exactly when the walk finds no violation, and
+validate_circuit must list exactly the walk's violations.  insert_copiers
+hands its result an index derived from its parent's checks instead of
+building one; it must equal a fresh index of the same circuit in every
+field.
 """
 
 import gc
@@ -198,7 +200,7 @@ def test_a_sound_circuit_never_reaches_the_walk(monkeypatch):
 
     monkeypatch.setattr(revmap.ir, "_walk", walk)
     for c in sound_samples():
-        assert _sound_driver(c)[1], c.name
+        assert _sound_driver(c) is not None, c.name
         assert _NetIndex(c).violations == ()
         if c._index.cycle is None:
             p = insert_copiers(c)
@@ -217,15 +219,12 @@ def is_key(name, names):
 
 
 def walk_finds_nothing(c):
-    if _walk(c):
-        return False
-    driven = {*c.inputs, *(n for g in c.gates for n in g.outputs)}
-    return all(n in driven for g in c.gates for n in g.inputs)
+    return not _walk(c)
 
 
 def set_checks_pass(c):
-    driver, sound = _sound_driver(c)
-    return sound and all(is_key(n, driver) for g in c.gates for n in g.inputs)
+    driver = _sound_driver(c)
+    return driver is not None and all(is_key(n, driver) for g in c.gates for n in g.inputs)
 
 
 NAMES = ["", " a", "a b", "a\tb", "a\nb", "a\u00a0b", "\u2003", "a\x1cb",
@@ -251,6 +250,13 @@ def test_set_checks_agree_on_malformed_circuits():
     for _ in range(1500):
         c = malformed_circuit(rng)
         assert set_checks_pass(c) == walk_finds_nothing(c)
+
+
+def test_validation_is_the_walk_on_malformed_circuits():
+    rng = random.Random(6)
+    for _ in range(1500):
+        c = malformed_circuit(rng)
+        assert validate_circuit(c) == _walk(c)
 
 
 edit = st.tuples(
@@ -308,3 +314,10 @@ def test_set_checks_agree_with_the_walk(base, edits):
     c = mutate(base, edits)
     assert set_checks_pass(c) == walk_finds_nothing(c)
     assert (validate_circuit(c) == []) == walk_finds_nothing(c)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(BASES), edits=st.lists(edit, max_size=4))
+def test_validation_is_the_walk_on_mutated_circuits(base, edits):
+    c = mutate(base, edits)
+    assert validate_circuit(c) == _walk(c)
