@@ -147,39 +147,25 @@ class RevGate:
 
     def __init__(self, controls, target):
         # by hand for one Python frame per gate, as IrGate's; three rules,
-        # reported in this order: no line twice, at most two controls, no
-        # negative line; NOT, CNOT and Toffoli are checked without building
-        # the tuple of touched lines
-        n = len(controls)
-        if n == 0:
-            if target < 0:
-                raise ValueError("negative line index")
-        elif n == 1:
-            (a,) = controls
-            if a == target:
-                raise ValueError(f"gate touches a line twice: {(a, target)}")
-            if a < 0 or target < 0:
-                raise ValueError("negative line index")
-        elif n == 2:
-            a, b = controls
-            if a == b or a == target or b == target:
-                raise ValueError(f"gate touches a line twice: {(a, b, target)}")
-            if a < 0 or b < 0 or target < 0:
-                raise ValueError("negative line index")
-        else:
-            touched = (*controls, target)
-            if len(set(touched)) != len(touched):
-                raise ValueError(f"gate touches a line twice: {touched}")
+        # reported in this order
+        touched = (*controls, target)
+        if len(set(touched)) != len(touched):
+            raise ValueError(f"gate touches a line twice: {touched}")
+        if len(controls) > 2:
             raise ValueError("at most two controls are supported")
+        if min(touched) < 0:
+            raise ValueError("negative line index")
         _set_controls(self, controls)
         _set_target(self, target)
 
 
 _set_controls, _set_target = RevGate.controls.__set__, RevGate.target.__set__
 
-# the same setters, for a reader that builds RevGates without a Python
-# frame each: only gates on at most two controls and distinct lines that
-# exist, so that every rule of RevGate.__init__ holds without its checks
+# the same setters, for the builders that make RevGates without a Python
+# frame each: parse_real's rows as write_real spells them and
+# convert_circuit's template gates.  Both build only gates on at most two
+# controls and distinct lines that exist, so that every rule of
+# RevGate.__init__ holds without its checks
 _REV_GATE_SETTERS = (_set_controls, _set_target)
 
 

@@ -21,6 +21,7 @@ from revmap import (
     template_for,
     write_real,
 )
+from revmap.cli import main
 from revmap.convert import conversion_trace
 from samples import AND_BLIF, HALF_ADDER_BLIF, pipeline, single_gate_blif
 
@@ -145,8 +146,50 @@ def test_no_restore_variant_still_equivalent():
 def test_gate_reading_one_net_twice_is_rejected():
     c = IrCircuit("dup", ("a",), ("y",), (IrGate(K.AND, ("a", "a"), ("y",)),))
     s = SlottedCircuit(c, (Slot((), ("a",)), Slot((0,), ("y",))))
-    with pytest.raises(RuntimeError, match="reads one line twice"):
+    with pytest.raises(ValueError) as err:
         convert_circuit(s)
+    assert str(err.value) == "g0 in slot 1 reads net 'a', which no line carries"
+
+
+def _slotted(inputs, outputs, gates, waves):
+    """A caller-built slotting: slot 0, then one slot per wave (the slots'
+    nets are not read by the converter)."""
+    c = IrCircuit("m", inputs, outputs, gates)
+    return SlottedCircuit(c, (Slot((), inputs), *(Slot(w, ()) for w in waves)))
+
+
+@pytest.mark.parametrize("slotted, message", [
+    # two gates of one slot read net a
+    (_slotted(("a", "b"), ("y1", "y2"),
+              (IrGate(K.NOT, ("a",), ("y1",)), IrGate(K.AND, ("a", "b"), ("y2",))),
+              [(0, 1)]),
+     "g1 in slot 1 reads net 'a', which no line carries"),
+    # one gate placed twice
+    (_slotted(("a",), ("y",), (IrGate(K.NOT, ("a",), ("y",)),), [(0,), (0,)]),
+     "g0 in slot 2 reads net 'a', which no line carries"),
+    # a gate placed before its driver
+    (_slotted(("a",), ("z",),
+              (IrGate(K.NOT, ("a",), ("y",)), IrGate(K.NOT, ("y",), ("z",))),
+              [(1,), (0,)]),
+     "g1 in slot 1 reads net 'y', which no line carries"),
+    # the gate driving a primary output left out
+    (_slotted(("a", "b"), ("y", "z"),
+              (IrGate(K.AND, ("a", "b"), ("y",)), IrGate(K.NOT, ("y",), ("z",))),
+              [(0,)]),
+     "primary outputs left unbound: ['z']"),
+    # a gate reading a primary output consumes it, though AND restores
+    # the line
+    (_slotted(("a", "b"), ("y", "z"),
+              (IrGate(K.NOT, ("a",), ("y",)), IrGate(K.AND, ("y", "b"), ("z",))),
+              [(0,), (1,)]),
+     "primary outputs left unbound: ['y']"),
+], ids=["net-read-twice", "gate-placed-twice", "gate-before-driver",
+        "output-gate-left-out", "output-read"])
+def test_invalid_caller_built_slotting_is_rejected(slotted, message):
+    for restore in (True, False):
+        with pytest.raises(ValueError) as err:
+            convert_circuit(slotted, restore)
+        assert str(err.value) == message
 
 
 def test_an_unsound_circuit_is_rejected_before_conversion():
@@ -224,3 +267,18 @@ def test_convert_runs_no_python_hash_per_gate():
         sys.setprofile(None)
     assert hashed == []
     assert {IrGateKind.AND: 1}[IrGateKind("and")] == 1
+
+
+def test_cli_convert_builds_no_gate_through_rev_gate_init(tmp_path, monkeypatch):
+    # every template gate binds distinct lines, so the converter builds its
+    # gates without RevGate's checks
+    blif, real = tmp_path / "r.blif", tmp_path / "r.real"
+    assert main(["gen", "--seed", "4", "--inputs", "6", "--gates", "300",
+                 "-o", str(blif)]) == 0
+
+    def refuse(self, controls, target):
+        raise AssertionError("RevGate.__init__ entered")
+
+    monkeypatch.setattr(RevGate, "__init__", refuse)
+    for flags in ([], ["--no-restore-controls"]):
+        assert main(["convert", str(blif), "-o", str(real), *flags]) == 0

@@ -192,7 +192,7 @@ def test_eval_rev_length_mismatch():
         eval_rev(flip, (0, 1))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, database=None)
 @given(st.data())
 def test_gate_list_followed_by_its_reverse_is_identity(data):
     width = data.draw(st.integers(min_value=1, max_value=5))
