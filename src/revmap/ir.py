@@ -29,11 +29,12 @@ validation is already a lookup.
 """
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import ValidationError
 
@@ -146,8 +147,11 @@ class RevGate:
     target: int
 
     def __init__(self, controls, target):
-        # by hand for one Python frame per gate, as IrGate's; three rules,
+        # by hand for one Python frame per gate, as IrGate's, which also
+        # freezes a sequence of controls into a tuple; three rules,
         # reported in this order
+        if type(controls) is not tuple:
+            controls = tuple(controls)
         touched = (*controls, target)
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate touches a line twice: {touched}")
@@ -160,13 +164,6 @@ class RevGate:
 
 
 _set_controls, _set_target = RevGate.controls.__set__, RevGate.target.__set__
-
-# the same setters, for the builders that make RevGates without a Python
-# frame each: parse_real's rows as write_real spells them and
-# convert_circuit's template gates.  Both build only gates on at most two
-# controls and distinct lines that exist, so that every rule of
-# RevGate.__init__ holds without its checks
-_REV_GATE_SETTERS = (_set_controls, _set_target)
 
 
 def t1(target):
@@ -206,43 +203,54 @@ _set_name, _set_constant, _set_output = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RevCircuit:
     """A reversible netlist: equal-width in/out, lines indexed from 0.
 
     The name is a label only and does not take part in equality; the
     .real format does not carry one.
+
+    The gates are held packed, as _rows: each gate as the line indices its
+    .real row names, its controls and then its target.  The rows are
+    checked once, as the circuit is built: each names one to three
+    distinct lines, all in range.  So every gate is a NOT, CNOT or Toffoli
+    gate whose target is not a control, and is its own inverse.  gates
+    holds the same gates as RevGates.  A circuit built from RevGates keeps
+    them; one that revmap builds from rows (_rev_circuit) builds them on
+    the first read and keeps them.
     """
 
     name: str = field(compare=False)
     lines: tuple[Line, ...]
     gates: tuple[RevGate, ...]
 
-    def __post_init__(self):
-        width = len(self.lines)
-        if len(set(map(attrgetter("name"), self.lines))) != width:
-            raise ValueError("line names are not unique")
-        pos = [ln.output for ln in self.lines if ln.output is not None]
-        if len(set(pos)) != len(pos):
-            raise ValueError("a primary output appears on two lines")
-        # every gate is a RevGate, whose rules make each gate its own inverse
-        # and let the evaluators read at most two controls; the distinct
-        # types are found without a loop in Python
-        gates = self.gates
+    def __init__(self, name, lines, gates):
+        # both are frozen into tuples, as IrCircuit's fields are, so that
+        # neither can drift from the rows checked against them
+        lines = lines if type(lines) is tuple else tuple(lines)
+        gates = gates if type(gates) is tuple else tuple(gates)
+        _check_lines(
+            tuple(map(attrgetter("name"), lines)),
+            map(attrgetter("output"), lines),
+        )
+        # the distinct types are found without a loop in Python
         if not all(issubclass(t, RevGate) for t in set(map(type, gates))):
             for g in gates:
                 if not isinstance(g, RevGate):
                     raise TypeError(f"not a RevGate: {g!r}")
-        # the highest line any gate touches, likewise found without a loop;
-        # only if it is out of range are the gates walked for the first one
-        top = max(
-            max(map(attrgetter("target"), gates), default=-1),
-            max(chain.from_iterable(map(attrgetter("controls"), gates)), default=-1),
-        )
-        if top >= width:
-            for g in gates:
-                if g.target >= width or any(i >= width for i in g.controls):
-                    raise ValueError(f"gate {g} exceeds line count {width}")
+        rows = tuple((*g.controls, g.target) for g in gates)
+        _check_rows(rows, len(lines))
+        self.__dict__.update(name=name, lines=lines, gates=gates, _rows=rows)
+
+    def __getattr__(self, name):
+        # called only for what the instance lacks: the gates of a circuit
+        # built from rows, until they are first read
+        attrs = self.__dict__
+        if name != "gates" or "_rows" not in attrs:
+            raise AttributeError(
+                f"'RevCircuit' object has no attribute {name!r}"
+            )
+        return attrs.setdefault("gates", _rev_gates(attrs["_rows"]))
 
     @property
     def width(self):
@@ -263,6 +271,77 @@ class RevCircuit:
     @property
     def garbage_count(self):
         return sum(1 for ln in self.lines if ln.output is None)
+
+
+def _rev_circuit(name, names, constants, outputs, rows):
+    """The RevCircuit whose lines zip names, constants and outputs and whose
+    gates are the packed rows, checked as RevCircuit checks its own.
+
+    names is a sequence; constants and outputs are iterables of its length.
+    The Lines are built without a Python frame each, a field at a time,
+    and no RevGate is built until gates is read.
+    """
+    outputs = list(outputs)
+    _check_lines(names, outputs)
+    lines = tuple(map(object.__new__, repeat(Line, len(names))))
+    for setter, column in (
+        (_set_name, names), (_set_constant, constants), (_set_output, outputs)
+    ):
+        deque(map(setter, lines, column), maxlen=0)
+    _check_rows(rows, len(lines))
+    r = object.__new__(RevCircuit)
+    r.__dict__.update(name=name, lines=lines, _rows=rows)
+    return r
+
+
+def _check_lines(names, outputs):
+    """Raise ValueError unless the lines' names, and their primary outputs,
+    are distinct."""
+    if len(set(names)) != len(names):
+        raise ValueError("line names are not unique")
+    pos = [output for output in outputs if output is not None]
+    if len(set(pos)) != len(pos):
+        raise ValueError("a primary output appears on two lines")
+
+
+def _check_rows(rows, width):
+    """Raise ValueError unless every row names one to three distinct lines
+    in range(width).
+
+    All rows are judged without a loop in Python: a row of at most three
+    lines is distinct when its first and its last line each occur in it
+    once.  Only if a row fails are the rows walked, in order, to the first
+    bad one, which RevGate's rules report, or else the range rule as
+    "gate RevGate(...) exceeds line count <width>".
+    """
+    used = set(chain.from_iterable(rows))
+    if (
+        set(map(len, rows)).issubset((1, 2, 3))
+        and (not used or (min(used) >= 0 and max(used) < width))
+        and {
+            *map(tuple.count, rows, map(itemgetter(0), rows)),
+            *map(tuple.count, rows, map(itemgetter(-1), rows)),
+        }.issubset((1,))
+    ):
+        return
+    for row in rows:
+        *controls, target = row
+        gate = RevGate(controls, target)
+        if max(row) >= width:
+            raise ValueError(f"gate {gate} exceeds line count {width}")
+
+
+def _rev_gates(rows):
+    """The RevGates of checked rows, built without a Python frame each."""
+    new = object.__new__
+    gates = []
+    append = gates.append
+    for row in rows:
+        gate = new(RevGate)
+        _set_controls(gate, row[:-1])
+        _set_target(gate, row[-1])
+        append(gate)
+    return tuple(gates)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,16 @@ the header directives in any order before .begin, each at most once
 (.version, which is ignored, may repeat).  Gates above two controls (t4
 and up) are out of the supported set.  The format carries no circuit
 name, so a parsed circuit is named "".  The gate rows are read in one
-loop: a row as write_real spells it is built directly, and any other row
-is parsed and checked.
+loop into the packed rows a RevCircuit holds: a row as write_real spells
+it becomes its tuple of line indices directly, and any other row is
+parsed and checked.
 """
 
 from itertools import count
 from operator import length_hint
 
 from .errors import RealFormatError, UnsupportedError
-from .ir import _REV_GATE_SETTERS, Line, RevCircuit, RevGate
+from .ir import _rev_circuit
 
 
 def _output_labels(lines):
@@ -58,15 +59,16 @@ def write_real(r):
     )
     out.append(".begin")
     names = [ln.name for ln in r.lines]
-    for g in r.gates:
-        controls = g.controls
-        if not controls:
-            out.append(f"t1 {names[g.target]}")
-        elif len(controls) == 1:
-            out.append(f"t2 {names[controls[0]]} {names[g.target]}")
+    for row in r._rows:
+        n = len(row)
+        if n == 1:
+            out.append(f"t1 {names[row[0]]}")
+        elif n == 2:
+            a, target = row
+            out.append(f"t2 {names[a]} {names[target]}")
         else:
-            a, b = controls
-            out.append(f"t3 {names[a]} {names[b]} {names[g.target]}")
+            a, b, target = row
+            out.append(f"t3 {names[a]} {names[b]} {names[target]}")
     out.append(".end")
     return "\n".join(out) + "\n"
 
@@ -94,8 +96,7 @@ def parse_real(text):
 
     split = _tokens if "#" in text else str.split
     raws = text.splitlines()
-    rows = enumerate(raws, start=1)
-    for lineno, raw in rows:
+    for lineno, raw in enumerate(raws, start=1):
         tokens = split(raw)
         if not tokens:
             continue
@@ -123,77 +124,59 @@ def parse_real(text):
     index_of = {name: i for i, name in enumerate(variables or ())}
 
     # The body is read a row at a time, against the header read so far.  A
-    # row as write_real spells it, on distinct lines that index_of knows, is
-    # built without a Python frame, as RevGate's rules hold for it by
-    # construction; any other row is parsed and checked.  The first bad row
-    # is kept and raised only after the checks below on the body's end and
-    # on the header, which take precedence over it.  A row's line is
-    # counted only when the row is odd.
-    gates = []
-    append = gates.append
-    new = object.__new__
-    set_controls, set_target = _REV_GATE_SETTERS
+    # row as write_real spells it, on distinct lines that index_of knows,
+    # becomes its tuple of line indices at once; any other row is parsed
+    # and checked.  The first bad row is kept and raised only after the
+    # checks below on the body's end and on the header, which take
+    # precedence over it.  A row's line is counted only when the row is odd.
+    rows = []
+    append = rows.append
     bad_gate = None
     ended = False
-    rows = iter(raws[lineno:] if in_body else ())
-    for tokens in map(split, rows):
+    body = iter(raws[lineno:] if in_body else ())
+    for tokens in map(split, body):
         n = len(tokens)
-        controls = None
         try:
             if n == 3:
                 head, a, target = tokens
                 if head == "t2":
                     a, target = index_of[a], index_of[target]
                     if a != target:
-                        controls = (a,)
+                        append((a, target))
+                        continue
+            elif n == 2:
+                head, target = tokens
+                if head == "t1":
+                    append((index_of[target],))
+                    continue
             elif n == 4:
                 head, a, b, target = tokens
                 if head == "t3":
                     a, b, target = index_of[a], index_of[b], index_of[target]
                     if a != b and a != target and b != target:
-                        controls = (a, b)
-            elif n == 2 and tokens[0] == "t1":
-                target = index_of[tokens[1]]
-                controls = ()
+                        append((a, b, target))
+                        continue
         except KeyError:
             pass  # an unknown line, which the checked branch reports
-        if controls is not None:
-            gate = new(RevGate)
-            set_controls(gate, controls)
-            set_target(gate, target)
-            append(gate)
-            continue
         if not tokens:
             continue
-        head = tokens[0]
-        if head == ".end":
+        if tokens[0] == ".end":
             ended = True
             break
-        lineno = len(raws) - length_hint(rows)
+        lineno = len(raws) - length_hint(body)
         try:
-            n = _GATE_SIZE.get(head) or _gate_size(head, lineno)
-            if len(tokens) != n + 1:
-                raise RealFormatError(f"t{n} takes exactly {n} lines", lineno)
-            # controls first, target last; each name is looked up in order
-            controls = tuple(map(index_of.__getitem__, tokens[1:-1]))
-            append(RevGate(controls, index_of[tokens[-1]]))
+            append(_checked_row(tokens, index_of, lineno))
         except (RealFormatError, UnsupportedError) as exc:
             # its traceback would hold this frame, which holds bad_gate
             bad_gate = exc.with_traceback(None)
             break
-        except KeyError as exc:
-            bad_gate = RealFormatError(f"unknown line {exc.args[0]!r}", lineno)
-            break
-        except ValueError as exc:
-            bad_gate = RealFormatError(str(exc), lineno)
-            break
     # past .end or the first bad row, a row matters only as .end or as
     # content after it
-    for tokens in map(split, rows):
+    for tokens in map(split, body):
         if not tokens:
             continue
         if ended:
-            raise RealFormatError("content after .end", len(raws) - length_hint(rows))
+            raise RealFormatError("content after .end", len(raws) - length_hint(body))
         ended = tokens[0] == ".end"
 
     if width is None:
@@ -228,18 +211,34 @@ def parse_real(text):
     # a line's output is None for garbage, else its .outputs label, which
     # defaults to the line's name
     labels = zip(header[".garbage"], header.get(".outputs", variables))
-    lines = tuple(
-        map(
-            Line,
+    try:
+        return _rev_circuit(
+            "",
             variables,
             map(_CONSTANT.__getitem__, header[".constants"]),
             [None if g == "1" else label for g, label in labels],
+            tuple(rows),
         )
-    )
-    try:
-        return RevCircuit("", lines, tuple(gates))
     except ValueError as exc:
         raise RealFormatError(str(exc)) from None
+
+
+def _checked_row(tokens, index_of, lineno):
+    """The row of a gate line that is not spelled as write_real spells it,
+    or its RealFormatError or UnsupportedError."""
+    head = tokens[0]
+    n = _GATE_SIZE.get(head) or _gate_size(head, lineno)
+    if len(tokens) != n + 1:
+        raise RealFormatError(f"t{n} takes exactly {n} lines", lineno)
+    # controls first, target last; the first unknown name is reported, by
+    # a test that raises no KeyError for the error to hold on to
+    unknown = [name for name in tokens[1:] if name not in index_of]
+    if unknown:
+        raise RealFormatError(f"unknown line {unknown[0]!r}", lineno)
+    row = tuple(map(index_of.__getitem__, tokens[1:]))
+    if len(set(row)) != n:
+        raise RealFormatError(f"gate touches a line twice: {row}", lineno)
+    return row
 
 
 def _word(tokens, alphabet, lineno):

@@ -8,9 +8,10 @@ of one bit evaluates a single assignment.  Equivalence checking runs both
 evaluators on the same words of up to BLOCK assignments and compares
 primary outputs by name.  Inputs are enumerated exhaustively up to a
 primary-input cap and sampled with a seeded generator above it.
-Bijectivity needs no simulation: every RevGate is a NOT, CNOT or Toffoli
-gate whose target is not a control, so each gate is its own inverse and
-every RevCircuit is a bijection on its line states.
+Bijectivity needs no simulation: a RevCircuit checks its packed gate
+rows as it is built, so each gate is a NOT, CNOT or Toffoli gate whose
+target is not a control.  Each gate is then its own inverse, and every
+RevCircuit is a bijection on its line states.
 """
 
 import random
@@ -22,7 +23,8 @@ from .ir import IrCircuit, IrGate, IrGateKind, check_circuit
 # assignments per word in check_equivalence
 BLOCK = 4096
 
-_QUANTUM_COST = {0: 1, 1: 1, 2: 5}
+# by the lines a gate's row names: NOT, CNOT, Toffoli
+_QUANTUM_COST = {1: 1, 2: 1, 3: 5}
 
 
 def eval_ir(c, assignment, word_width=1):
@@ -83,16 +85,17 @@ def eval_rev(r, state, word_width=1):
         )
     mask = (1 << word_width) - 1
     words = [w & mask for w in state]
-    # a RevCircuit holds only RevGates, so a gate has at most two controls
-    for g in r.gates:
-        controls = g.controls
-        if len(controls) == 2:
-            a, b = controls
-            words[g.target] ^= words[a] & words[b]
-        elif controls:
-            words[g.target] ^= words[controls[0]]
+    # each packed row names one to three lines: controls, then the target
+    for row in r._rows:
+        n = len(row)
+        if n == 1:
+            words[row[0]] ^= mask
+        elif n == 2:
+            a, target = row
+            words[target] ^= words[a]
         else:
-            words[g.target] ^= mask
+            a, b, target = row
+            words[target] ^= words[a] & words[b]
     return tuple(words)
 
 
@@ -226,7 +229,7 @@ def _sampled_blocks(n, samples, rng):
 
 
 def check_bijectivity(r, max_lines=16):
-    """Return None: a circuit of RevGates is a bijection on its line states.
+    """Return None: every RevCircuit is a bijection on its line states.
 
     Raises ValueError above max_lines lines, the cap `verify
     --max-bijective` sets.
@@ -234,10 +237,10 @@ def check_bijectivity(r, max_lines=16):
     width = r.width
     if width > max_lines:
         raise ValueError(f"{width} lines exceed the bijectivity cap {max_lines}")
-    # RevCircuit holds only RevGates, and RevGate rejects a gate that
-    # touches a line twice, so each gate flips its target by a function of
-    # other lines: it is its own inverse, and the reversed gate list undoes
-    # the circuit
+    # RevCircuit's constructors check every packed row: one to three
+    # distinct lines, all in range.  So each gate flips its target by a
+    # function of other lines: it is its own inverse, and the reversed gate
+    # list undoes the circuit
     return None
 
 
@@ -266,8 +269,8 @@ def stats(r):
         lines=r.width,
         constant_inputs=r.constant_count,
         garbage_outputs=r.garbage_count,
-        gate_count=len(r.gates),
-        quantum_cost=sum(_QUANTUM_COST[len(g.controls)] for g in r.gates),
+        gate_count=len(r._rows),
+        quantum_cost=sum(map(_QUANTUM_COST.__getitem__, map(len, r._rows))),
     )
 
 

@@ -158,7 +158,7 @@ def _slotted(inputs, outputs, gates, waves):
     return SlottedCircuit(c, (Slot((), inputs), *(Slot(w, ()) for w in waves)))
 
 
-@pytest.mark.parametrize("slotted, message", [
+INVALID_SLOTTINGS = [
     # two gates of one slot read net a
     (_slotted(("a", "b"), ("y1", "y2"),
               (IrGate(K.NOT, ("a",), ("y1",)), IrGate(K.AND, ("a", "b"), ("y2",))),
@@ -183,12 +183,26 @@ def _slotted(inputs, outputs, gates, waves):
               (IrGate(K.NOT, ("a",), ("y",)), IrGate(K.AND, ("y", "b"), ("z",))),
               [(0,), (1,)]),
      "primary outputs left unbound: ['y']"),
-], ids=["net-read-twice", "gate-placed-twice", "gate-before-driver",
-        "output-gate-left-out", "output-read"])
+]
+INVALID_IDS = ["net-read-twice", "gate-placed-twice", "gate-before-driver",
+               "output-gate-left-out", "output-read"]
+
+
+@pytest.mark.parametrize("slotted, message", INVALID_SLOTTINGS, ids=INVALID_IDS)
 def test_invalid_caller_built_slotting_is_rejected(slotted, message):
     for restore in (True, False):
         with pytest.raises(ValueError) as err:
             convert_circuit(slotted, restore)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("slotted, message", INVALID_SLOTTINGS, ids=INVALID_IDS)
+def test_trace_rejects_what_the_converter_rejects(slotted, message):
+    # the trace walks the converter's binding, so a slotting that places g1
+    # before its driver g0 is rejected, not traced
+    for restore in (True, False):
+        with pytest.raises(ValueError) as err:
+            conversion_trace(slotted, restore)
         assert str(err.value) == message
 
 

@@ -5,8 +5,9 @@ in blif._read_blocks.  Text that revmap writes is read as it is; any
 other (a comment, a continuation, a line break other than "\\n", text
 before the first directive) is first rewritten by blif._logical_lines to
 one logical line per "\\n", with each line's number in the file.
-parse_real reads its body in one loop: a row as write_real spells it is
-built directly, and any other row takes the checked branch.
+parse_real reads its body in one loop: a row as write_real spells it
+becomes its packed row directly, and any other row takes the checked
+branch.
 
 An outcome is what a reader makes of a text: its result, or its error's
 type, message and line.  The outcomes on fixed seeded families of texts,
@@ -28,10 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revmap.blif as blif
+import revmap.realfmt as realfmt
 from revmap import (
     IrCircuit,
     RevCircuit,
-    RevGate,
     convert_circuit,
     gen_random_circuit,
     insert_copiers,
@@ -468,12 +469,12 @@ def test_canonical_real_never_takes_the_checked_branch(monkeypatch):
     texts.append(not_chain_real(40))
     expected = [(text, parse_real(text)) for text in texts]
 
-    def refuse(self, controls, target):
+    def refuse(tokens, index_of, lineno):
         raise AssertionError("a gate row took the checked branch")
 
-    # the checked branch builds each gate through RevGate.__init__, and
-    # the plain rows build none that way; .end and the header pass
-    monkeypatch.setattr(RevGate, "__init__", refuse)
+    # the checked branch reads each row through _checked_row, and the
+    # plain rows do not; .end and the header pass
+    monkeypatch.setattr(realfmt, "_checked_row", refuse)
     for text, r in expected:
         assert parse_real(text) == r
 

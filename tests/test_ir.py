@@ -415,6 +415,18 @@ def test_line_defaults():
     assert dataclasses.replace(Line("a"), constant=0) == Line("a", 0)
 
 
+def test_rev_gate_controls_are_a_tuple():
+    # controls are frozen into a tuple, as IrGate's sequences are, so a
+    # gate built from a list equals and hashes as the tuple-built one
+    g = RevGate([0], 1)
+    assert type(g.controls) is tuple
+    assert g == RevGate((0,), 1) == t2(0, 1)
+    assert hash(g) == hash(RevGate((0,), 1))
+    assert RevGate(iter([0, 1]), 2) == t3(0, 1, 2)
+    with pytest.raises(ValueError, match="gate touches a line twice: \\(0, 0\\)"):
+        RevGate([0], 0)
+
+
 def test_ir_gate_replace_freezes_lists():
     g = dataclasses.replace(IrGate(K.NOT, ("a",), ("y",)), inputs=["b"],
                             outputs=["z"])

@@ -31,7 +31,7 @@ from revmap import (
     t2,
     t3,
 )
-from revmap import sim
+from revmap import ir, sim
 from samples import (
     BOOL_FN,
     HALF_ADDER_BLIF,
@@ -409,7 +409,9 @@ def test_bijectivity_simulates_nothing(monkeypatch):
 
     monkeypatch.setattr(sim, "eval_rev", refuse)
     monkeypatch.setattr(sim, "eval_ir", refuse)
-    monkeypatch.setattr(RevCircuit, "__post_init__", refuse)
+    monkeypatch.setattr(RevCircuit, "__init__", refuse)
+    monkeypatch.setattr(ir, "_rev_circuit", refuse)
+    monkeypatch.setattr(ir, "_rev_gates", refuse)
     assert check_bijectivity(r) is None
 
 

@@ -92,7 +92,7 @@ def test_modules_share_only_these_private_names():
         ("fanout", "ir", "_fresh_names"),
         ("fanout", "ir", "_derive_index"),
         ("convert", "ir", "_fresh_names"),
-        ("convert", "ir", "_REV_GATE_SETTERS"),
-        ("realfmt", "ir", "_REV_GATE_SETTERS"),
+        ("convert", "ir", "_rev_circuit"),
+        ("realfmt", "ir", "_rev_circuit"),
         ("cli", "realfmt", "_output_labels"),
     }
