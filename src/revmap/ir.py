@@ -33,8 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from itertools import repeat
 
 from .errors import ValidationError
 
@@ -211,13 +210,18 @@ class RevCircuit:
     .real format does not carry one.
 
     The gates are held packed, as _rows: each gate as the line indices its
-    .real row names, its controls and then its target.  The rows are
-    checked once, as the circuit is built: each names one to three
-    distinct lines, all in range.  So every gate is a NOT, CNOT or Toffoli
-    gate whose target is not a control, and is its own inverse.  gates
-    holds the same gates as RevGates.  A circuit built from RevGates keeps
-    them; one that revmap builds from rows (_rev_circuit) builds them on
-    the first read and keeps them.
+    .real row names, its controls and then its target.  Every row names
+    one to three distinct lines, all in range, so every gate is a NOT,
+    CNOT or Toffoli gate whose target is not a control, and is its own
+    inverse.  That rule is enforced once, where a circuit enters: .real
+    text by parse_real, a caller's RevGates by this constructor (RevGate
+    checks each gate's own lines, the constructor their range), and the
+    converter's rows by its binding.  The constructor also requires line
+    names, and outputs, that are distinct and that write_real can spell,
+    and constants that are None, 0 or 1.  gates holds the same gates as
+    RevGates.  A circuit built from RevGates keeps them; one that revmap
+    builds from rows (_rev_circuit) builds them on the first read and
+    keeps them.
     """
 
     name: str = field(compare=False)
@@ -229,17 +233,29 @@ class RevCircuit:
         # neither can drift from the rows checked against them
         lines = lines if type(lines) is tuple else tuple(lines)
         gates = gates if type(gates) is tuple else tuple(gates)
-        _check_lines(
-            tuple(map(attrgetter("name"), lines)),
-            map(attrgetter("output"), lines),
-        )
-        # the distinct types are found without a loop in Python
-        if not all(issubclass(t, RevGate) for t in set(map(type, gates))):
-            for g in gates:
-                if not isinstance(g, RevGate):
-                    raise TypeError(f"not a RevGate: {g!r}")
+        width = len(lines)
+        for ln in lines:
+            bit = ln.constant
+            if bit is not None and (type(bit) is not int or bit not in (0, 1)):
+                raise ValueError(f"line {ln!r}: its constant is not None, 0 or 1")
+            output = ln.output
+            if not _is_name(ln.name) or not (output is None or _is_name(output)):
+                raise ValueError(
+                    f"line {ln!r}: its name or output is not a nonempty str "
+                    "without whitespace or '#'"
+                )
+        if len({ln.name for ln in lines}) != width:
+            raise ValueError("line names are not unique")
+        outputs = [ln.output for ln in lines if ln.output is not None]
+        if len(set(outputs)) != len(outputs):
+            raise ValueError("a primary output appears on two lines")
+        for g in gates:
+            if not isinstance(g, RevGate):
+                raise TypeError(f"not a RevGate: {g!r}")
         rows = tuple((*g.controls, g.target) for g in gates)
-        _check_rows(rows, len(lines))
+        for g, row in zip(gates, rows):
+            if max(row) >= width:
+                raise ValueError(f"gate {g} exceeds line count {width}")
         self.__dict__.update(name=name, lines=lines, gates=gates, _rows=rows)
 
     def __getattr__(self, name):
@@ -275,64 +291,28 @@ class RevCircuit:
 
 def _rev_circuit(name, names, constants, outputs, rows):
     """The RevCircuit whose lines zip names, constants and outputs and whose
-    gates are the packed rows, checked as RevCircuit checks its own.
+    gates are the packed rows.
 
+    Trusted: it checks nothing.  Only parse_real and convert_circuit call
+    it, and each guarantees what RevCircuit's constructor checks: distinct
+    names and outputs that write_real can spell, constants None, 0 or 1,
+    and rows of one to three distinct lines, all in range.
     names is a sequence; constants and outputs are iterables of its length.
     The Lines are built without a Python frame each, a field at a time,
     and no RevGate is built until gates is read.
     """
-    outputs = list(outputs)
-    _check_lines(names, outputs)
     lines = tuple(map(object.__new__, repeat(Line, len(names))))
     for setter, column in (
         (_set_name, names), (_set_constant, constants), (_set_output, outputs)
     ):
         deque(map(setter, lines, column), maxlen=0)
-    _check_rows(rows, len(lines))
     r = object.__new__(RevCircuit)
     r.__dict__.update(name=name, lines=lines, _rows=rows)
     return r
 
 
-def _check_lines(names, outputs):
-    """Raise ValueError unless the lines' names, and their primary outputs,
-    are distinct."""
-    if len(set(names)) != len(names):
-        raise ValueError("line names are not unique")
-    pos = [output for output in outputs if output is not None]
-    if len(set(pos)) != len(pos):
-        raise ValueError("a primary output appears on two lines")
-
-
-def _check_rows(rows, width):
-    """Raise ValueError unless every row names one to three distinct lines
-    in range(width).
-
-    All rows are judged without a loop in Python: a row of at most three
-    lines is distinct when its first and its last line each occur in it
-    once.  Only if a row fails are the rows walked, in order, to the first
-    bad one, which RevGate's rules report, or else the range rule as
-    "gate RevGate(...) exceeds line count <width>".
-    """
-    used = set(chain.from_iterable(rows))
-    if (
-        set(map(len, rows)).issubset((1, 2, 3))
-        and (not used or (min(used) >= 0 and max(used) < width))
-        and {
-            *map(tuple.count, rows, map(itemgetter(0), rows)),
-            *map(tuple.count, rows, map(itemgetter(-1), rows)),
-        }.issubset((1,))
-    ):
-        return
-    for row in rows:
-        *controls, target = row
-        gate = RevGate(controls, target)
-        if max(row) >= width:
-            raise ValueError(f"gate {gate} exceeds line count {width}")
-
-
 def _rev_gates(rows):
-    """The RevGates of checked rows, built without a Python frame each."""
+    """The RevGates of well-formed rows, built without a Python frame each."""
     new = object.__new__
     gates = []
     append = gates.append
@@ -374,7 +354,8 @@ def _fresh_names(stem, taken, n):
 def validate_circuit(c):
     """Check structural invariants; return a list of violations (empty if ok).
 
-    Checked: names are nonempty and whitespace-free, primary inputs and
+    Checked: names are nonempty strs free of whitespace and '#' (which the
+    BLIF and .real readers take for a comment), primary inputs and
     outputs are duplicate-free, gate arities match their kind, every net
     has exactly one driver, and every referenced net is driven.
     """
@@ -516,7 +497,15 @@ class _NetIndex:
         self.cycle = tuple(walked)[walked[node]:]
 
 
-_WHITESPACE = re.compile(r"\s")  # exactly the characters str.split splits on
+# whitespace, exactly the characters str.split splits on, and the .real and
+# BLIF comment mark
+_BAD_NAME_CHAR = re.compile(r"[\s#]")
+
+
+def _is_name(name):
+    """Whether name is a nonempty str without whitespace or '#', so that
+    the BLIF and .real writers spell it as one token that reads back."""
+    return isinstance(name, str) and name != "" and not _BAD_NAME_CHAR.search(name)
 
 
 def _sound_driver(c):
@@ -526,11 +515,11 @@ def _sound_driver(c):
     sound means that _walk finds no violation: the map has one key per
     primary input and gate output (so no net has two drivers and no list
     repeats a name), the .outputs are distinct and driven, every gate has
-    its kind's arity, and no name is empty or holds whitespace.  Every
-    name such a circuit mentions is a key of the map, so the keys are
-    checked for whitespace in one search of their concatenation.  A name
-    that is unhashable or not a str makes the map, the concatenation or a
-    set of the .outputs fail, and c unsound here.
+    its kind's arity, and no name is empty or holds whitespace or '#'.
+    Every name such a circuit mentions is a key of the map, so the keys
+    are checked for those characters in one search of their concatenation.
+    A name that is unhashable or not a str makes the map, the
+    concatenation or a set of the .outputs fail, and c unsound here.
     """
     inputs, outputs = c.inputs, c.outputs
     try:
@@ -550,7 +539,7 @@ def _sound_driver(c):
             and len(set(outputs)) == len(outputs)
             and all(map(driver.__contains__, outputs))
             and "" not in driver
-            and not _WHITESPACE.search("".join(driver))
+            and not _BAD_NAME_CHAR.search("".join(driver))
         )
     except TypeError:  # a name that is unhashable or not a str
         return None
@@ -578,7 +567,7 @@ def _walk(c):
     found = []
 
     def check_name(name):
-        if not isinstance(name, str) or not name or name.split() != [name]:
+        if not _is_name(name):
             found.append(Violation("bad-name", repr(name)))
 
     for name in (*c.inputs, *c.outputs):

@@ -211,16 +211,17 @@ def parse_real(text):
     # a line's output is None for garbage, else its .outputs label, which
     # defaults to the line's name
     labels = zip(header[".garbage"], header.get(".outputs", variables))
-    try:
-        return _rev_circuit(
-            "",
-            variables,
-            map(_CONSTANT.__getitem__, header[".constants"]),
-            [None if g == "1" else label for g, label in labels],
-            tuple(rows),
-        )
-    except ValueError as exc:
-        raise RealFormatError(str(exc)) from None
+    outputs = [None if g == "1" else label for g, label in labels]
+    named = [label for label in outputs if label is not None]
+    if len(set(named)) != len(named):
+        raise RealFormatError("a primary output appears on two lines")
+    return _rev_circuit(
+        "",
+        variables,
+        map(_CONSTANT.__getitem__, header[".constants"]),
+        outputs,
+        tuple(rows),
+    )
 
 
 def _checked_row(tokens, index_of, lineno):

@@ -8,10 +8,12 @@ of one bit evaluates a single assignment.  Equivalence checking runs both
 evaluators on the same words of up to BLOCK assignments and compares
 primary outputs by name.  Inputs are enumerated exhaustively up to a
 primary-input cap and sampled with a seeded generator above it.
-Bijectivity needs no simulation: a RevCircuit checks its packed gate
-rows as it is built, so each gate is a NOT, CNOT or Toffoli gate whose
-target is not a control.  Each gate is then its own inverse, and every
-RevCircuit is a bijection on its line states.
+Bijectivity needs no simulation: every gate row of a RevCircuit names one
+to three distinct lines, all in range, as parse_real guarantees of .real
+text, RevCircuit() of a caller's gates and the converter's binding of its
+rows.  So each gate is a NOT, CNOT or Toffoli gate whose target is not a
+control, each is its own inverse, and every RevCircuit is a bijection on
+its line states.
 """
 
 import random
@@ -237,10 +239,11 @@ def check_bijectivity(r, max_lines=16):
     width = r.width
     if width > max_lines:
         raise ValueError(f"{width} lines exceed the bijectivity cap {max_lines}")
-    # RevCircuit's constructors check every packed row: one to three
-    # distinct lines, all in range.  So each gate flips its target by a
-    # function of other lines: it is its own inverse, and the reversed gate
-    # list undoes the circuit
+    # every packed row names one to three distinct lines, all in range:
+    # parse_real, RevCircuit() and the converter's binding each see to it
+    # where a circuit enters.  So each gate flips its target by a function
+    # of other lines: it is its own inverse, and the reversed gate list
+    # undoes the circuit
     return None
 
 

@@ -131,3 +131,35 @@ def buffer_chain_blif(length):
     )
     outputs = " ".join(f"y{k}" for k in range(length))
     return f".model buffers\n.inputs a\n.outputs {outputs}\n{covers}.end\n"
+
+
+def is_spelled(name):
+    """Whether write_real spells name as one token that reads back."""
+    return isinstance(name, str) and name.split() == [name] and "#" not in name
+
+
+def is_well_formed(r):
+    """Whether the RevCircuit r keeps the rule RevCircuit's constructor
+    judges: each packed row names one to three distinct lines, all in
+    range; the line names, and the primary outputs, are distinct and
+    spelled as one token; each constant is None, 0 or 1.
+
+    The reference for the two builders, parse_real and convert_circuit,
+    whose circuits the constructor does not judge."""
+    width = len(r.lines)
+    for row in r._rows:
+        if not 1 <= len(row) <= 3 or len(set(row)) != len(row):
+            return False
+        if not all(type(i) is int and 0 <= i < width for i in row):
+            return False
+    names = [ln.name for ln in r.lines]
+    outputs = [ln.output for ln in r.lines if ln.output is not None]
+    for ln in r.lines:
+        bit = ln.constant
+        if not (bit is None or type(bit) is int and bit in (0, 1)):
+            return False
+    return (
+        all(map(is_spelled, names + outputs))
+        and len(set(names)) == len(names)
+        and len(set(outputs)) == len(outputs)
+    )

@@ -47,6 +47,7 @@ from samples import (
     CANONICAL_ROWS,
     HALF_ADDER_BLIF,
     buffer_chain_blif,
+    is_well_formed,
     not_chain_blif,
     not_chain_real,
 )
@@ -380,6 +381,12 @@ def test_seeded_real_reads_as_pinned():
     rng = random.Random(18)
     texts = [seeded_real(rng) for _ in range(1000)]
     assert_pinned([parse_real], texts, SEEDED_REAL_DIGESTS)
+    # no constructor judges what parse_real builds, so the reference does
+    for text in texts:
+        r = outcome(parse_real, text)
+        if isinstance(r, RevCircuit):
+            assert is_well_formed(r)
+            assert RevCircuit(r.name, r.lines, r.gates) == r
 
 
 REAL_BODIES = [

@@ -109,6 +109,8 @@ def test_whitespace_name_rejected():
         (1.5, True),
         ((1,), True),
         (b"a", True),
+        ("a#b", True),  # the BLIF and .real readers cut a comment there
+        ("#", True),
     ],
 )
 def test_name_rule(name, bad):
@@ -324,6 +326,18 @@ def test_rev_gate_messages(controls, target, message):
      (t1(9),), "line names are not unique"),
     ((Line("a", output="z"), Line("b", output="z")), (t1(9),),
      "a primary output appears on two lines"),
+    # a line write_real cannot spell is named, before the rules above
+    ((Line("a"), Line("x", 2, "y"), Line("x")), (t1(9),),
+     "line Line(name='x', constant=2, output='y'): its constant is not None, 0 or 1"),
+    ((Line("x", True),), (), "line Line(name='x', constant=True, output=None): "
+     "its constant is not None, 0 or 1"),
+    ((Line("x", 1.0),), (), "line Line(name='x', constant=1.0, output=None): "
+     "its constant is not None, 0 or 1"),
+    *(((Line("a"), line), (), f"line {line!r}: its name or output is not a "
+       "nonempty str without whitespace or '#'") for line in (
+        Line(""), Line("a b"), Line("a#b"), Line("\u2003"), Line(3), Line(None),
+        Line("x", output=""), Line("x", output="y z"), Line("x", output="#"),
+        Line("x", 0, ("y",)))),
 ])
 def test_rev_circuit_messages(lines, gates, message):
     with pytest.raises(ValueError) as err:

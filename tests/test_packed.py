@@ -5,8 +5,11 @@ parse_real and convert_circuit build only these rows, and eval_rev,
 write_real and stats read only them, so the CLI commands build no RevGate.
 RevCircuit.gates is built from the rows on its first read and kept; the
 circuit compares, hashes, prints, pickles and copies as one a caller built
-from RevGates.  Every constructor checks the rows, which is what makes each
-gate its own inverse.
+from RevGates.  Each row names one to three distinct lines, all in range,
+which is what makes each gate its own inverse.  RevCircuit's constructor
+judges that of a caller's gates; the two builders guarantee it of their
+rows and build through ir._rev_circuit, which judges nothing, so their
+output is judged here against a plain reference, samples.is_well_formed.
 """
 
 import copy
@@ -34,7 +37,7 @@ from revmap import (
     write_real,
 )
 from revmap.cli import main
-from samples import HALF_ADDER_BLIF
+from samples import HALF_ADDER_BLIF, is_well_formed
 
 K = IrGateKind
 
@@ -126,13 +129,32 @@ LINES = ("a", "b", "c")
     (((0, 1, 2, 3),), "at most two controls are supported"),
     (((-1, 2),), "negative line index"),
     (((2,), (0, 3)), "gate RevGate(controls=(0,), target=3) exceeds line count 3"),
-    (((1,), ()), "not enough values to unpack (expected at least 1, got 0)"),
 ])
 def test_packed_rows_are_checked(rows, message):
-    # the rule check_bijectivity relies on holds for rows as for RevGates
+    # the rule check_bijectivity relies on: a caller's gates are judged as
+    # they are built, and the trusted constructor takes the same rows
+    # unjudged, which the reference rejects
     with pytest.raises(ValueError) as err:
-        ir._rev_circuit("r", LINES, (None,) * 3, (None,) * 3, rows)
+        gates = [RevGate(row[:-1], row[-1]) for row in rows]
+        RevCircuit("r", map(Line, LINES), gates)
     assert str(err.value) == message
+    trusted = ir._rev_circuit("r", LINES, (None,) * 3, (None,) * 3, rows)
+    assert not is_well_formed(trusted)
+
+
+@pytest.mark.parametrize("restore", [True, False])
+def test_builders_keep_the_gate_rule(restore):
+    # what convert_circuit builds, and parse_real reads back, is judged by
+    # nothing but its builder, so it is judged here
+    for seed in range(200):
+        c = gen_random_circuit(seed, 1 + seed % 10, 7 * seed % 41)
+        r = convert_circuit(slot_circuit(insert_copiers(c)), restore)
+        for built in (r, parse_real(write_real(r))):
+            assert is_well_formed(built)
+            assert RevCircuit(built.name, built.lines, built.gates) == built
+    # an empty row, which no RevGate spells
+    empty = ir._rev_circuit("r", LINES, (None,) * 3, (None,) * 3, ((1,), ()))
+    assert not is_well_formed(empty)
 
 
 def test_packed_circuit_equals_the_one_built_from_gates():
