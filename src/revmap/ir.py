@@ -134,7 +134,7 @@ _set_net, _set_source, _set_sinks = (
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class RevGate:
     """A generalized Toffoli gate with 0, 1 or 2 controls.
 
@@ -145,24 +145,20 @@ class RevGate:
     controls: tuple[int, ...]
     target: int
 
-    def __init__(self, controls, target):
-        # by hand for one Python frame per gate, as IrGate's, which also
-        # freezes a sequence of controls into a tuple; three rules,
-        # reported in this order
+    def __post_init__(self):
+        # controls are frozen into a tuple, as IrGate's sequences are; three
+        # rules, reported in this order
+        controls = self.controls
         if type(controls) is not tuple:
             controls = tuple(controls)
-        touched = (*controls, target)
+            object.__setattr__(self, "controls", controls)
+        touched = (*controls, self.target)
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate touches a line twice: {touched}")
         if len(controls) > 2:
             raise ValueError("at most two controls are supported")
         if min(touched) < 0:
             raise ValueError("negative line index")
-        _set_controls(self, controls)
-        _set_target(self, target)
-
-
-_set_controls, _set_target = RevGate.controls.__set__, RevGate.target.__set__
 
 
 def t1(target):
@@ -177,7 +173,7 @@ def t3(control_a, control_b, target):
     return RevGate((control_a, control_b), target)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Line:
     """One line of a reversible circuit.
 
@@ -189,12 +185,6 @@ class Line:
     name: str
     constant: int | None = None
     output: str | None = None
-
-    def __init__(self, name, constant=None, output=None):
-        # by hand for one Python frame per line, as IrGate's
-        _set_name(self, name)
-        _set_constant(self, constant)
-        _set_output(self, output)
 
 
 _set_name, _set_constant, _set_output = (
@@ -220,8 +210,9 @@ class RevCircuit:
     names, and outputs, that are distinct and that write_real can spell,
     and constants that are None, 0 or 1.  gates holds the same gates as
     RevGates.  A circuit built from RevGates keeps them; one that revmap
-    builds from rows (_rev_circuit) builds them on the first read and
-    keeps them.
+    builds from rows (_rev_circuit) builds them through RevGate's own
+    constructor on the first read and keeps them.  The commands read only
+    the rows, so for them no RevGate is built.
     """
 
     name: str = field(compare=False)
@@ -266,7 +257,9 @@ class RevCircuit:
             raise AttributeError(
                 f"'RevCircuit' object has no attribute {name!r}"
             )
-        return attrs.setdefault("gates", _rev_gates(attrs["_rows"]))
+        return attrs.setdefault(
+            "gates", tuple(RevGate(row[:-1], row[-1]) for row in attrs["_rows"])
+        )
 
     @property
     def width(self):
@@ -298,8 +291,9 @@ def _rev_circuit(name, names, constants, outputs, rows):
     names and outputs that write_real can spell, constants None, 0 or 1,
     and rows of one to three distinct lines, all in range.
     names is a sequence; constants and outputs are iterables of its length.
-    The Lines are built without a Python frame each, a field at a time,
-    and no RevGate is built until gates is read.
+    Every parsed or converted circuit is built here, so its Lines are
+    built without a Python frame each, a column of slots at a time, and no
+    RevGate is built until gates is read.
     """
     lines = tuple(map(object.__new__, repeat(Line, len(names))))
     for setter, column in (
@@ -309,19 +303,6 @@ def _rev_circuit(name, names, constants, outputs, rows):
     r = object.__new__(RevCircuit)
     r.__dict__.update(name=name, lines=lines, _rows=rows)
     return r
-
-
-def _rev_gates(rows):
-    """The RevGates of well-formed rows, built without a Python frame each."""
-    new = object.__new__
-    gates = []
-    append = gates.append
-    for row in rows:
-        gate = new(RevGate)
-        _set_controls(gate, row[:-1])
-        _set_target(gate, row[-1])
-        append(gate)
-    return tuple(gates)
 
 
 @dataclass(frozen=True)
@@ -355,9 +336,11 @@ def validate_circuit(c):
     """Check structural invariants; return a list of violations (empty if ok).
 
     Checked: names are nonempty strs free of whitespace and '#' (which the
-    BLIF and .real readers take for a comment), primary inputs and
-    outputs are duplicate-free, gate arities match their kind, every net
-    has exactly one driver, and every referenced net is driven.
+    BLIF and .real readers take for a comment) that do not end in '\\'
+    (which the BLIF reader takes, at the end of a line, for a line
+    continuation), primary inputs and outputs are duplicate-free, gate
+    arities match their kind, every net has exactly one driver, and every
+    referenced net is driven.
     """
     return list(c._index.violations)
 
@@ -504,7 +487,11 @@ _BAD_NAME_CHAR = re.compile(r"[\s#]")
 
 def _is_name(name):
     """Whether name is a nonempty str without whitespace or '#', so that
-    the BLIF and .real writers spell it as one token that reads back."""
+    the BLIF and .real writers spell it as one token that reads back.
+
+    An IR name must not end in '\\' either, which _walk and _sound_driver
+    check: the BLIF writer may put it last on a line.  A .real name may,
+    as .real has no line continuation."""
     return isinstance(name, str) and name != "" and not _BAD_NAME_CHAR.search(name)
 
 
@@ -515,9 +502,10 @@ def _sound_driver(c):
     sound means that _walk finds no violation: the map has one key per
     primary input and gate output (so no net has two drivers and no list
     repeats a name), the .outputs are distinct and driven, every gate has
-    its kind's arity, and no name is empty or holds whitespace or '#'.
-    Every name such a circuit mentions is a key of the map, so the keys
-    are checked for those characters in one search of their concatenation.
+    its kind's arity, and no name is empty, holds whitespace or '#', or
+    ends in '\\'.  Every name such a circuit mentions is a key of the map,
+    so the keys are checked for those characters in one search of their
+    concatenation; only if it holds a '\\' is each key's end looked at.
     A name that is unhashable or not a str makes the map, the
     concatenation or a set of the .outputs fail, and c unsound here.
     """
@@ -533,13 +521,15 @@ def _sound_driver(c):
             size += len(outs)
             for name in outs:
                 driver[name] = i
+        names = "".join(driver)
         sound = (
             arity
             and len(driver) == size
             and len(set(outputs)) == len(outputs)
             and all(map(driver.__contains__, outputs))
             and "" not in driver
-            and not _BAD_NAME_CHAR.search("".join(driver))
+            and not _BAD_NAME_CHAR.search(names)
+            and ("\\" not in names or not any(n.endswith("\\") for n in driver))
         )
     except TypeError:  # a name that is unhashable or not a str
         return None
@@ -567,7 +557,7 @@ def _walk(c):
     found = []
 
     def check_name(name):
-        if not _is_name(name):
+        if not _is_name(name) or name.endswith("\\"):
             found.append(Violation("bad-name", repr(name)))
 
     for name in (*c.inputs, *c.outputs):

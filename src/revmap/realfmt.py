@@ -78,9 +78,6 @@ def _tokens(raw):
     return (raw.split("#", 1)[0] if "#" in raw else raw).split()
 
 
-# lines touched by each supported gate; _gate_size judges any other head
-_GATE_SIZE = {"t1": 1, "t2": 2, "t3": 3}
-
 # each .constants character as a Line's constant
 _CONSTANT = {"-": None, "0": 0, "1": 1}
 
@@ -126,12 +123,12 @@ def parse_real(text):
     # The body is read a row at a time, against the header read so far.  A
     # row as write_real spells it, on distinct lines that index_of knows,
     # becomes its tuple of line indices at once; any other row is parsed
-    # and checked.  The first bad row is kept and raised only after the
-    # checks below on the body's end and on the header, which take
-    # precedence over it.  A row's line is counted only when the row is odd.
+    # and checked, until the first bad one.  That row is kept, with its
+    # line, and judged again only after the checks below on the body's end
+    # and on the header, which take precedence over it.
     rows = []
     append = rows.append
-    bad_gate = None
+    bad = None  # the first bad row, as (tokens, lineno)
     ended = False
     body = iter(raws[lineno:] if in_body else ())
     for tokens in map(split, body):
@@ -163,21 +160,16 @@ def parse_real(text):
         if tokens[0] == ".end":
             ended = True
             break
-        lineno = len(raws) - length_hint(body)
-        try:
-            append(_checked_row(tokens, index_of, lineno))
-        except (RealFormatError, UnsupportedError) as exc:
-            # its traceback would hold this frame, which holds bad_gate
-            bad_gate = exc.with_traceback(None)
-            break
-    # past .end or the first bad row, a row matters only as .end or as
-    # content after it
+        if bad is None:
+            lineno = len(raws) - length_hint(body)
+            try:
+                append(_checked_row(tokens, index_of, lineno))
+            except (RealFormatError, UnsupportedError):
+                bad = tokens, lineno
     for tokens in map(split, body):
-        if not tokens:
-            continue
-        if ended:
-            raise RealFormatError("content after .end", len(raws) - length_hint(body))
-        ended = tokens[0] == ".end"
+        if tokens:
+            lineno = len(raws) - length_hint(body)
+            raise RealFormatError("content after .end", lineno)
 
     if width is None:
         raise RealFormatError("missing .numvars")
@@ -202,11 +194,9 @@ def parse_real(text):
             )
     if len(index_of) != width:
         raise RealFormatError("duplicate names in .variables")
-    if bad_gate is not None:
-        try:
-            raise bad_gate
-        finally:
-            bad_gate = None  # the raise put this frame in its traceback
+    if bad is not None:
+        tokens, lineno = bad
+        _checked_row(tokens, index_of, lineno)  # raises, as it did above
 
     # a line's output is None for garbage, else its .outputs label, which
     # defaults to the line's name
@@ -228,11 +218,10 @@ def _checked_row(tokens, index_of, lineno):
     """The row of a gate line that is not spelled as write_real spells it,
     or its RealFormatError or UnsupportedError."""
     head = tokens[0]
-    n = _GATE_SIZE.get(head) or _gate_size(head, lineno)
+    n = _gate_size(head, lineno)
     if len(tokens) != n + 1:
         raise RealFormatError(f"t{n} takes exactly {n} lines", lineno)
-    # controls first, target last; the first unknown name is reported, by
-    # a test that raises no KeyError for the error to hold on to
+    # controls first, target last; the first unknown name is reported
     unknown = [name for name in tokens[1:] if name not in index_of]
     if unknown:
         raise RealFormatError(f"unknown line {unknown[0]!r}", lineno)
@@ -259,7 +248,7 @@ def _is_number(text):
 
 
 def _gate_size(head, lineno):
-    """Lines touched by a gate row whose head is not t1, t2 or t3."""
+    """Lines touched by a gate row with this head."""
     if head[:1] != "t" or not _is_number(head[1:]):
         raise RealFormatError(f"unknown gate {head!r}", lineno)
     n = int(head[1:])
@@ -267,4 +256,4 @@ def _gate_size(head, lineno):
         raise UnsupportedError(f"unsupported gate t{n}: at most 2 controls")
     if n < 1:
         raise RealFormatError(f"bad gate size t{n}", lineno)
-    return n  # a spelling such as t01
+    return n

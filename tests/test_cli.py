@@ -594,6 +594,13 @@ REAL_HEADER = (
      "error[2]: line 9: unknown line 'zz'"),
     (REAL_HEADER + "t4 a b c a\nt1 zz\n.end\n", 3,
      "error[3]: unsupported gate t4: at most 2 controls"),
+    # rows as write_real spells them, after a bad one, change none of that
+    (REAL_HEADER + "t2 a a\nt1 b\n.end\n", 2,
+     "error[2]: line 9: gate touches a line twice: (0, 0)"),
+    (REAL_HEADER + "t1 zz\nt2 a b\nt2 c c\n.end\n", 2,
+     "error[2]: line 9: unknown line 'zz'"),
+    (REAL_HEADER + "t2 a a\nt1 b\nt3 a b c\n", 2,
+     "error[2]: missing .begin/.end body"),
     # numbers are ASCII digits: other digits are a bad gate or .numvars
     (REAL_HEADER + "t\u00b2 a\n.end\n", 2,
      "error[2]: line 9: unknown gate 't\u00b2'"),
@@ -686,6 +693,9 @@ REAL_HEADER = (
     "bad-gate-no-variables",
     "unknown-line-then-t4",
     "t4-then-unknown-line",
+    "bad-gate-then-good-gate",
+    "bad-gate-good-gate-bad-gate",
+    "bad-gate-good-gates-no-end",
     "superscript-gate",
     "arabic-indic-gate",
     "superscript-numvars",
@@ -753,6 +763,10 @@ def test_real_parse_golden(tmp_path, capsys, text, code, line):
     (".model m\n.inputs a b\n.outputs z\n.names a z\n1 1\n.names b z\n1 1\n"
      ".end\n",
      "error[2]: line 6: multiple drivers for net 'z'"),
+    # a name ending in a backslash reads, but written last on a line it
+    # would read back as a continuation; the buffered output y is b\ too
+    (".model m\n.inputs b\\ a\n.outputs y\n.names b\\ y\n1 1\n.end\n",
+     "error[2]: bad-name: 'b\\\\'; bad-name: 'b\\\\'"),
 ], ids=[
     "continuations",
     "backslash-in-comment",
@@ -762,6 +776,7 @@ def test_real_parse_golden(tmp_path, capsys, text, code, line):
     "good-then-bad-cover",
     "two-char-output-bit",
     "two-buffers-one-net",
+    "name-ends-in-backslash",
 ])
 def test_blif_parse_golden(tmp_path, capsys, text, line):
     path = tmp_path / "x.blif"

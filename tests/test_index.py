@@ -229,7 +229,7 @@ def set_checks_pass(c):
 
 NAMES = ["", " a", "a b", "a\tb", "a\nb", "a\u00a0b", "\u2003", "a\x1cb",
          "a\x1c", None, "a[3]", "n$1", "\u00fc", "a\u200bb", "a", "b", "y",
-         "w0", "zz", 5, 1.5, (1,), b"a", ["a"]]
+         "w0", "zz", 5, 1.5, (1,), b"a", ["a"], "b\\", "\\", "a\\b"]
 
 
 @pytest.mark.parametrize("name", NAMES, ids=lambda name: repr(name)

@@ -19,6 +19,7 @@ import pickle
 import pytest
 
 import revmap.ir as ir
+import revmap.realfmt as realfmt
 from revmap import (
     IrCircuit,
     IrGate,
@@ -43,13 +44,16 @@ K = IrGateKind
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a RevGate was built")
+    raise AssertionError("a RevGate or Line was built, or a row checked")
 
 
 @pytest.fixture
 def no_rev_gates(monkeypatch):
-    monkeypatch.setattr(ir, "_rev_gates", refuse)
+    # the commands build no gate, build Lines only a column at a time, and
+    # send no row that write_real spells down the checked path
     monkeypatch.setattr(RevGate, "__init__", refuse)
+    monkeypatch.setattr(Line, "__init__", refuse)
+    monkeypatch.setattr(realfmt, "_checked_row", refuse)
 
 
 def test_commands_build_no_rev_gate(no_rev_gates, monkeypatch, tmp_path, capsys):

@@ -411,7 +411,7 @@ def test_bijectivity_simulates_nothing(monkeypatch):
     monkeypatch.setattr(sim, "eval_ir", refuse)
     monkeypatch.setattr(RevCircuit, "__init__", refuse)
     monkeypatch.setattr(ir, "_rev_circuit", refuse)
-    monkeypatch.setattr(ir, "_rev_gates", refuse)
+    monkeypatch.setattr(RevGate, "__init__", refuse)
     assert check_bijectivity(r) is None
 
 
