@@ -148,11 +148,9 @@ def cmd_sim(args):
     r = parse_real(_read(args.circuit))
     bits = _parse_bits(args.input, len(r.primary_inputs), "primary-input line")
     feed = iter(bits)
-    start = [
-        ln.constant if ln.constant is not None else next(feed) for ln in r.lines
-    ]
+    start = [bit if bit is not None else next(feed) for bit in r._constants]
     end = eval_rev(r, start)
-    labels = _output_labels(r.lines)
+    labels = _output_labels(r._outputs)
     print(" ".join(f"{label}={bit}" for label, bit in zip(labels, end)))
     return 0
 

@@ -112,10 +112,10 @@ def convert_circuit(s, restore_controls=True):
     # the constants' names avoid every net: each is a key of the driver map
     width = len(constants)
     added = width - len(c.inputs)
-    names = [*c.inputs, *_fresh_names("x", c._index.driver.keys(), added)]
+    names = (*c.inputs, *_fresh_names("x", c._index.driver.keys(), added))
     ends = {line_of_net[net]: net for net in c.outputs}
-    outputs = map(ends.get, range(width))
-    return _rev_circuit(c.name, names, constants, outputs, tuple(rows))
+    outputs = tuple(map(ends.get, range(width)))
+    return _rev_circuit(c.name, names, tuple(constants), outputs, tuple(rows))
 
 
 def conversion_trace(s, restore_controls=True):

@@ -6,7 +6,9 @@ read from BLIF.  The reversible side is a line circuit (RevCircuit) of
 NOT/CNOT/Toffoli gates acting on a fixed set of lines, each line entering
 as a primary input or a constant and leaving as a primary output or
 garbage.  Both are immutable value types; every pipeline stage maps one
-value to another.
+value to another.  A RevCircuit holds its lines as three columns and its
+gates as rows of line indices, whoever builds it; its Lines and RevGates
+are views, built on first read.
 
 Gates carry no explicit id: a gate is identified by its position in the
 circuit's gate tuple, and diagnostics label position ``i`` as ``g<i>``.
@@ -29,11 +31,9 @@ validation is already a lookup.
 """
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 
 from .errors import ValidationError
 
@@ -187,11 +187,6 @@ class Line:
     output: str | None = None
 
 
-_set_name, _set_constant, _set_output = (
-    Line.name.__set__, Line.constant.__set__, Line.output.__set__
-)
-
-
 @dataclass(frozen=True, init=False)
 class RevCircuit:
     """A reversible netlist: equal-width in/out, lines indexed from 0.
@@ -199,20 +194,23 @@ class RevCircuit:
     The name is a label only and does not take part in equality; the
     .real format does not carry one.
 
-    The gates are held packed, as _rows: each gate as the line indices its
-    .real row names, its controls and then its target.  Every row names
-    one to three distinct lines, all in range, so every gate is a NOT,
-    CNOT or Toffoli gate whose target is not a control, and is its own
-    inverse.  That rule is enforced once, where a circuit enters: .real
-    text by parse_real, a caller's RevGates by this constructor (RevGate
-    checks each gate's own lines, the constructor their range), and the
-    converter's rows by its binding.  The constructor also requires line
-    names, and outputs, that are distinct and that write_real can spell,
-    and constants that are None, 0 or 1.  gates holds the same gates as
-    RevGates.  A circuit built from RevGates keeps them; one that revmap
-    builds from rows (_rev_circuit) builds them through RevGate's own
-    constructor on the first read and keeps them.  The commands read only
-    the rows, so for them no RevGate is built.
+    Whoever builds it, a circuit holds one packed form: its lines as three
+    columns, _names, _constants and _outputs (each line's name, constant
+    and output, as a Line holds them), and its gates as _rows, each gate as
+    the line indices its .real row names, its controls and then its
+    target.  lines and gates are views of them, built as Lines and
+    RevGates on the first read and kept; the commands read only the
+    columns and rows, so for them no Line or RevGate is built.
+
+    Every row names one to three distinct lines, all in range, so every
+    gate is a NOT, CNOT or Toffoli gate whose target is not a control, and
+    is its own inverse.  That rule is enforced once, where a circuit
+    enters: .real text by parse_real, a caller's RevGates by this
+    constructor (RevGate checks each gate's own lines, the constructor
+    their range), and the converter's rows by its binding.  The
+    constructor also requires Lines whose names, and outputs, are distinct
+    and spelled as write_real can spell them, and whose constants are
+    None, 0 or 1; then it packs them.
     """
 
     name: str = field(compare=False)
@@ -220,12 +218,11 @@ class RevCircuit:
     gates: tuple[RevGate, ...]
 
     def __init__(self, name, lines, gates):
-        # both are frozen into tuples, as IrCircuit's fields are, so that
-        # neither can drift from the rows checked against them
-        lines = lines if type(lines) is tuple else tuple(lines)
-        gates = gates if type(gates) is tuple else tuple(gates)
+        lines, gates = tuple(lines), tuple(gates)
         width = len(lines)
         for ln in lines:
+            if not isinstance(ln, Line):
+                raise TypeError(f"not a Line: {ln!r}")
             bit = ln.constant
             if bit is not None and (type(bit) is not int or bit not in (0, 1)):
                 raise ValueError(f"line {ln!r}: its constant is not None, 0 or 1")
@@ -235,10 +232,13 @@ class RevCircuit:
                     f"line {ln!r}: its name or output is not a nonempty str "
                     "without whitespace or '#'"
                 )
-        if len({ln.name for ln in lines}) != width:
+        names = tuple(ln.name for ln in lines)
+        constants = tuple(ln.constant for ln in lines)
+        outputs = tuple(ln.output for ln in lines)
+        if len(set(names)) != width:
             raise ValueError("line names are not unique")
-        outputs = [ln.output for ln in lines if ln.output is not None]
-        if len(set(outputs)) != len(outputs):
+        named = [output for output in outputs if output is not None]
+        if len(set(named)) != len(named):
             raise ValueError("a primary output appears on two lines")
         for g in gates:
             if not isinstance(g, RevGate):
@@ -247,61 +247,68 @@ class RevCircuit:
         for g, row in zip(gates, rows):
             if max(row) >= width:
                 raise ValueError(f"gate {g} exceeds line count {width}")
-        self.__dict__.update(name=name, lines=lines, gates=gates, _rows=rows)
+        _pack(self, name, names, constants, outputs, rows)
 
     def __getattr__(self, name):
-        # called only for what the instance lacks: the gates of a circuit
-        # built from rows, until they are first read
+        # called only for what the instance lacks: lines and gates, until
+        # they are first read, and whatever is misspelled
         attrs = self.__dict__
-        if name != "gates" or "_rows" not in attrs:
+        if "_rows" not in attrs or name not in ("lines", "gates"):
             raise AttributeError(
                 f"'RevCircuit' object has no attribute {name!r}"
             )
-        return attrs.setdefault(
-            "gates", tuple(RevGate(row[:-1], row[-1]) for row in attrs["_rows"])
-        )
+        if name == "lines":
+            value = tuple(
+                map(Line, attrs["_names"], attrs["_constants"], attrs["_outputs"])
+            )
+        else:
+            value = tuple(RevGate(row[:-1], row[-1]) for row in attrs["_rows"])
+        return attrs.setdefault(name, value)
 
     @property
     def width(self):
-        return len(self.lines)
+        return len(self._names)
 
     @property
     def primary_inputs(self):
-        return tuple(ln.name for ln in self.lines if ln.constant is None)
+        return tuple(
+            name for name, bit in zip(self._names, self._constants) if bit is None
+        )
 
     @property
     def primary_outputs(self):
-        return tuple(ln.output for ln in self.lines if ln.output is not None)
+        return tuple(output for output in self._outputs if output is not None)
 
     @property
     def constant_count(self):
-        return sum(1 for ln in self.lines if ln.constant is not None)
+        return len(self._constants) - self._constants.count(None)
 
     @property
     def garbage_count(self):
-        return sum(1 for ln in self.lines if ln.output is None)
+        return self._outputs.count(None)
+
+
+def _pack(r, name, names, constants, outputs, rows):
+    # the one form every RevCircuit holds, whichever of its two builders
+    # made it
+    r.__dict__.update(
+        name=name, _names=names, _constants=constants, _outputs=outputs,
+        _rows=rows,
+    )
 
 
 def _rev_circuit(name, names, constants, outputs, rows):
-    """The RevCircuit whose lines zip names, constants and outputs and whose
-    gates are the packed rows.
+    """The RevCircuit whose line columns are names, constants and outputs
+    and whose gates are the packed rows, each a tuple.
 
-    Trusted: it checks nothing.  Only parse_real and convert_circuit call
-    it, and each guarantees what RevCircuit's constructor checks: distinct
-    names and outputs that write_real can spell, constants None, 0 or 1,
-    and rows of one to three distinct lines, all in range.
-    names is a sequence; constants and outputs are iterables of its length.
-    Every parsed or converted circuit is built here, so its Lines are
-    built without a Python frame each, a column of slots at a time, and no
-    RevGate is built until gates is read.
+    Trusted: it checks nothing and only stores them.  Only parse_real and
+    convert_circuit call it, and each guarantees what RevCircuit's
+    constructor checks: distinct names and outputs that write_real can
+    spell, constants None, 0 or 1, and rows of one to three distinct
+    lines, all in range.
     """
-    lines = tuple(map(object.__new__, repeat(Line, len(names))))
-    for setter, column in (
-        (_set_name, names), (_set_constant, constants), (_set_output, outputs)
-    ):
-        deque(map(setter, lines, column), maxlen=0)
     r = object.__new__(RevCircuit)
-    r.__dict__.update(name=name, lines=lines, _rows=rows)
+    _pack(r, name, names, constants, outputs, rows)
     return r
 
 

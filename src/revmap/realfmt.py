@@ -10,12 +10,17 @@ line, controls first and target last.
 
 parse_real accepts that layout plus ``#`` comments and blank lines, with
 the header directives in any order before .begin, each at most once
-(.version, which is ignored, may repeat).  Gates above two controls (t4
-and up) are out of the supported set.  The format carries no circuit
-name, so a parsed circuit is named "".  The gate rows are read in one
-loop into the packed rows a RevCircuit holds: a row as write_real spells
-it becomes its tuple of line indices directly, and any other row is
-parsed and checked.
+(.version, which is ignored, may repeat).  .inputs, if given, must list
+what write_real would: each line's name, or its bit if .constants makes
+it an ancilla.  Gates above two controls (t4 and up) are out of the
+supported set.  The format carries no circuit name, so a parsed circuit
+is named "".
+
+Both functions work on the packed form a RevCircuit holds.  write_real
+reads its three line columns and its gate rows.  parse_real turns the
+header into the columns and reads the gate rows in one loop: a row as
+write_real spells it becomes its tuple of line indices directly, and any
+other row is parsed and checked.
 """
 
 from itertools import count
@@ -25,40 +30,34 @@ from .errors import RealFormatError, UnsupportedError
 from .ir import _rev_circuit
 
 
-def _output_labels(lines):
-    """Each line's .outputs label: its primary output, or g<k> for garbage."""
+def _output_labels(outputs):
+    """Each line's .outputs label, from the outputs column: its primary
+    output, or g<k> for garbage."""
     garbage = count()
     return [
-        f"g{next(garbage)}" if ln.output is None else ln.output for ln in lines
+        f"g{next(garbage)}" if output is None else output for output in outputs
+    ]
+
+
+def _input_entries(names, constants):
+    """Each line's .inputs entry, from the names and constants columns: its
+    name on a primary-input line, its constant's bit on an ancilla line."""
+    return [
+        name if bit is None else _BIT[bit] for name, bit in zip(names, constants)
     ]
 
 
 def write_real(r):
-    out = [".version 2.0", f".numvars {r.width}"]
-    out.append(" ".join((".variables", *(ln.name for ln in r.lines))))
+    names, constants, outputs = r._names, r._constants, r._outputs
+    out = [".version 2.0", f".numvars {len(names)}"]
+    out.append(" ".join((".variables", *names)))
+    out.append(" ".join((".inputs", *_input_entries(names, constants))))
+    out.append(" ".join((".outputs", *_output_labels(outputs))))
+    out.append(".constants " + "".join(map(_BIT.__getitem__, constants)))
     out.append(
-        " ".join(
-            (
-                ".inputs",
-                *(
-                    ln.name if ln.constant is None else str(ln.constant)
-                    for ln in r.lines
-                ),
-            )
-        )
-    )
-    out.append(" ".join((".outputs", *_output_labels(r.lines))))
-    out.append(
-        ".constants "
-        + "".join(
-            "-" if ln.constant is None else str(ln.constant) for ln in r.lines
-        )
-    )
-    out.append(
-        ".garbage " + "".join("1" if ln.output is None else "-" for ln in r.lines)
+        ".garbage " + "".join("1" if output is None else "-" for output in outputs)
     )
     out.append(".begin")
-    names = [ln.name for ln in r.lines]
     for row in r._rows:
         n = len(row)
         if n == 1:
@@ -78,8 +77,9 @@ def _tokens(raw):
     return (raw.split("#", 1)[0] if "#" in raw else raw).split()
 
 
-# each .constants character as a Line's constant
+# each .constants character as a Line's constant, and back
 _CONSTANT = {"-": None, "0": 0, "1": 1}
+_BIT = {None: "-", 0: "0", 1: "1"}
 
 # the header's per-line directives, in the order their lengths are judged:
 # lists of names, then words over each one's alphabet
@@ -194,6 +194,17 @@ def parse_real(text):
             )
     if len(index_of) != width:
         raise RealFormatError("duplicate names in .variables")
+    constants = tuple(map(_CONSTANT.__getitem__, header[".constants"]))
+    inputs = header.get(".inputs")
+    if inputs is not None:
+        expected = _input_entries(variables, constants)
+        if inputs != expected:  # a whole-list test; walked only to report
+            for k, (got, want) in enumerate(zip(inputs, expected), start=1):
+                if got != want:
+                    raise RealFormatError(
+                        f"inconsistent header: .inputs entry {k} is {got!r}, "
+                        f"not {want!r}"
+                    )
     if bad is not None:
         tokens, lineno = bad
         _checked_row(tokens, index_of, lineno)  # raises, as it did above
@@ -201,17 +212,11 @@ def parse_real(text):
     # a line's output is None for garbage, else its .outputs label, which
     # defaults to the line's name
     labels = zip(header[".garbage"], header.get(".outputs", variables))
-    outputs = [None if g == "1" else label for g, label in labels]
+    outputs = tuple([None if g == "1" else label for g, label in labels])
     named = [label for label in outputs if label is not None]
     if len(set(named)) != len(named):
         raise RealFormatError("a primary output appears on two lines")
-    return _rev_circuit(
-        "",
-        variables,
-        map(_CONSTANT.__getitem__, header[".constants"]),
-        outputs,
-        tuple(rows),
-    )
+    return _rev_circuit("", tuple(variables), constants, outputs, tuple(rows))
 
 
 def _checked_row(tokens, index_of, lineno):

@@ -6,7 +6,9 @@ is its value under assignment k, so one call evaluates a whole word of
 assignments with one bitwise operation per gate.  The default word width
 of one bit evaluates a single assignment.  Equivalence checking runs both
 evaluators on the same words of up to BLOCK assignments and compares
-primary outputs by name.  Inputs are enumerated exhaustively up to a
+primary outputs by name.  eval_rev, check_equivalence and stats read a
+RevCircuit's packed form, its line columns and gate rows, and build no
+Line or RevGate.  Inputs are enumerated exhaustively up to a
 primary-input cap and sampled with a seeded generator above it.
 Bijectivity needs no simulation: every gate row of a RevCircuit names one
 to three distinct lines, all in range, as parse_real guarantees of .real
@@ -159,8 +161,10 @@ def check_equivalence(c, r, max_exhaustive=12, samples=4096, seed=0):
         mode, used_seed = "sampled", seed
         blocks = _sampled_blocks(n, samples, random.Random(seed))
 
+    # the line columns, read once for every block
+    names, constants = r._names, r._constants
     po_lines = [
-        (i, ln.output) for i, ln in enumerate(r.lines) if ln.output is not None
+        (i, output) for i, output in enumerate(r._outputs) if output is not None
     ]
     checked = 0
     for size, columns in blocks:
@@ -168,8 +172,8 @@ def check_equivalence(c, r, max_exhaustive=12, samples=4096, seed=0):
         mask = (1 << size) - 1
         expected = eval_ir(c, words, size)
         start = [
-            words[ln.name] if ln.constant is None else mask * ln.constant
-            for ln in r.lines
+            words[name] if bit is None else mask * bit
+            for name, bit in zip(names, constants)
         ]
         end = eval_rev(r, start, size)
         actual = {name: end[i] for i, name in po_lines}

@@ -587,6 +587,13 @@ REAL_HEADER = (
      "error[2]: inconsistent header: .inputs lists 2 entries for 3 lines"),
     (REAL_HEADER.replace(".variables a b c", ".variables a a c")
      + "t1 a\n.end\n", 2, "error[2]: duplicate names in .variables"),
+    # .inputs names each primary-input line and gives each constant's bit
+    (REAL_HEADER.replace(".inputs a b c", ".inputs b a c") + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .inputs entry 1 is 'b', not 'a'"),
+    (REAL_HEADER.replace(".constants ---", ".constants --1") + "t1 a\n.end\n",
+     2, "error[2]: inconsistent header: .inputs entry 3 is 'c', not '1'"),
+    (REAL_HEADER.replace(".inputs a b c", ".inputs a b 0") + "t2 a a\n.end\n",
+     2, "error[2]: inconsistent header: .inputs entry 3 is '0', not 'c'"),
     (REAL_HEADER.replace(".variables a b c\n", "") + "t1 a\n.end\n", 2,
      "error[2]: missing .variables"),
     # the first bad gate wins
@@ -690,6 +697,9 @@ REAL_HEADER = (
     "bad-gate-no-end",
     "bad-gate-bad-header",
     "bad-gate-duplicate-variables",
+    "inputs-order",
+    "inputs-name-for-constant",
+    "inputs-before-bad-gate",
     "bad-gate-no-variables",
     "unknown-line-then-t4",
     "t4-then-unknown-line",

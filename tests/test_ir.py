@@ -345,6 +345,13 @@ def test_rev_circuit_messages(lines, gates, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("line", [("a", None, None), "a", None])
+def test_rev_circuit_takes_only_lines(line):
+    with pytest.raises(TypeError) as err:
+        RevCircuit("r", (Line("b"), line), ())
+    assert str(err.value) == f"not a Line: {line!r}"
+
+
 def test_rev_gate_helpers():
     assert t1(3) == RevGate((), 3)
     assert t2(0, 1) == RevGate((0,), 1)

@@ -1,15 +1,19 @@
-"""A RevCircuit holds its gates packed, as the rows of line indices a .real
-gate row names: controls first, target last.
+"""A RevCircuit holds one packed form, whoever builds it: its lines as
+three columns (names, constants, outputs) and its gates as the rows of
+line indices a .real gate row names, controls first, target last.
 
-parse_real and convert_circuit build only these rows, and eval_rev,
-write_real and stats read only them, so the CLI commands build no RevGate.
-RevCircuit.gates is built from the rows on its first read and kept; the
-circuit compares, hashes, prints, pickles and copies as one a caller built
-from RevGates.  Each row names one to three distinct lines, all in range,
-which is what makes each gate its own inverse.  RevCircuit's constructor
-judges that of a caller's gates; the two builders guarantee it of their
-rows and build through ir._rev_circuit, which judges nothing, so their
-output is judged here against a plain reference, samples.is_well_formed.
+parse_real and convert_circuit build only these columns and rows, and
+eval_rev, write_real, stats, check_equivalence and the sim command read
+only them, so the CLI commands build no Line and no RevGate.
+RevCircuit() packs a caller's Lines and RevGates the same way.
+RevCircuit.lines and RevCircuit.gates are built from the packed form on
+their first read and kept; the circuit compares, hashes, prints, pickles
+and copies as one a caller built from Lines and RevGates.  Each row names
+one to three distinct lines, all in range, which is what makes each gate
+its own inverse.  RevCircuit's constructor judges that of a caller's
+gates; the two builders guarantee it of their rows and build through
+ir._rev_circuit, which judges nothing, so their output is judged here
+against a plain reference, samples.is_well_formed.
 """
 
 import copy
@@ -27,11 +31,14 @@ from revmap import (
     Line,
     RevCircuit,
     RevGate,
+    check_equivalence,
     convert_circuit,
+    eval_rev,
     gen_random_circuit,
     insert_copiers,
     parse_real,
     slot_circuit,
+    stats,
     t1,
     t2,
     t3,
@@ -49,8 +56,8 @@ def refuse(*args, **kwargs):
 
 @pytest.fixture
 def no_rev_gates(monkeypatch):
-    # the commands build no gate, build Lines only a column at a time, and
-    # send no row that write_real spells down the checked path
+    # the commands build no gate and no Line, and send no row that
+    # write_real spells down the checked path
     monkeypatch.setattr(RevGate, "__init__", refuse)
     monkeypatch.setattr(Line, "__init__", refuse)
     monkeypatch.setattr(realfmt, "_checked_row", refuse)
@@ -176,3 +183,33 @@ def test_gate_order_is_kept():
     r = convert_circuit(slot_circuit(c))
     assert r._rows == ((0,), (0,))
     assert r.gates == (t1(0), t1(0))
+
+
+PACKED = {"name", "_names", "_constants", "_outputs", "_rows"}
+
+
+def test_every_builder_stores_only_the_packed_form():
+    c = insert_copiers(gen_random_circuit(7, 5, 20))
+    r = convert_circuit(slot_circuit(c))
+    parsed = parse_real(write_real(r))
+    twin = RevCircuit("", parsed.lines, parsed.gates)
+    for built in (r, parse_real(write_real(r)), twin):
+        assert set(vars(built)) == PACKED
+        # what the commands run reads the packed form only
+        write_real(built)
+        assert check_equivalence(c, built).equivalent
+        stats(built)
+        eval_rev(built, [0] * built.width)
+        assert set(vars(built)) == PACKED
+        # read once, the views are the Lines and RevGates that built twin,
+        # and are kept
+        assert built.lines == parsed.lines and built.gates == parsed.gates
+        assert set(vars(built)) == PACKED | {"lines", "gates"}
+        assert built.lines is built.lines and built.gates is built.gates
+
+
+def test_an_unbuilt_circuit_has_no_views():
+    bare = object.__new__(RevCircuit)
+    assert not hasattr(bare, "lines") and not hasattr(bare, "gates")
+    with pytest.raises(AttributeError, match="no attribute 'lines'"):
+        bare.lines
