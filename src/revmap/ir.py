@@ -146,13 +146,15 @@ class RevGate:
     target: int
 
     def __post_init__(self):
-        # controls are frozen into a tuple, as IrGate's sequences are; three
+        # controls are frozen into a tuple, as IrGate's sequences are; four
         # rules, reported in this order
         controls = self.controls
         if type(controls) is not tuple:
             controls = tuple(controls)
             object.__setattr__(self, "controls", controls)
         touched = (*controls, self.target)
+        if not all(type(i) is int for i in touched):
+            raise TypeError(f"line indices are not ints: {touched}")
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate touches a line twice: {touched}")
         if len(controls) > 2:
@@ -342,12 +344,14 @@ def _fresh_names(stem, taken, n):
 def validate_circuit(c):
     """Check structural invariants; return a list of violations (empty if ok).
 
-    Checked: names are nonempty strs free of whitespace and '#' (which the
-    BLIF and .real readers take for a comment) that do not end in '\\'
-    (which the BLIF reader takes, at the end of a line, for a line
-    continuation), primary inputs and outputs are duplicate-free, gate
-    arities match their kind, every net has exactly one driver, and every
-    referenced net is driven.
+    Checked: the model name and every net name are nonempty strs free of
+    whitespace and '#' (which the BLIF and .real readers take for a
+    comment) that do not end in '\\' (which the BLIF reader takes, at the
+    end of a line, for a line continuation), so that write_intermediate
+    spells each as one token that reads back; primary inputs and outputs
+    are duplicate-free, gate arities match their kind, every net has
+    exactly one driver, and every referenced net is driven.  A bad model
+    name is reported first.
     """
     return list(c._index.violations)
 
@@ -510,9 +514,10 @@ def _sound_driver(c):
     primary input and gate output (so no net has two drivers and no list
     repeats a name), the .outputs are distinct and driven, every gate has
     its kind's arity, and no name is empty, holds whitespace or '#', or
-    ends in '\\'.  Every name such a circuit mentions is a key of the map,
-    so the keys are checked for those characters in one search of their
-    concatenation; only if it holds a '\\' is each key's end looked at.
+    ends in '\\'.  The model name is checked on its own.  Every net name
+    such a circuit mentions is a key of the map, so the keys are checked
+    for those characters in one search of their concatenation; only if it
+    holds a '\\' is each key's end looked at.
     A name that is unhashable or not a str makes the map, the
     concatenation or a set of the .outputs fail, and c unsound here.
     """
@@ -534,6 +539,7 @@ def _sound_driver(c):
             and len(driver) == size
             and len(set(outputs)) == len(outputs)
             and all(map(driver.__contains__, outputs))
+            and _is_name(c.name) and not c.name.endswith("\\")
             and "" not in driver
             and not _BAD_NAME_CHAR.search(names)
             and ("\\" not in names or not any(n.endswith("\\") for n in driver))
@@ -567,7 +573,7 @@ def _walk(c):
         if not _is_name(name) or name.endswith("\\"):
             found.append(Violation("bad-name", repr(name)))
 
-    for name in (*c.inputs, *c.outputs):
+    for name in (c.name, *c.inputs, *c.outputs):
         check_name(name)
     for seq in (c.inputs, c.outputs):
         seen = set()

@@ -20,7 +20,8 @@ Both functions work on the packed form a RevCircuit holds.  write_real
 reads its three line columns and its gate rows.  parse_real turns the
 header into the columns and reads the gate rows in one loop: a row as
 write_real spells it becomes its tuple of line indices directly, and any
-other row is parsed and checked.
+other row keeps its place and is parsed and checked once, after the
+checks on the body's end and on the header, which take precedence.
 """
 
 from itertools import count
@@ -89,7 +90,7 @@ _WORDS = {".constants": "01-", ".garbage": "1-"}
 
 def parse_real(text):
     header = {}  # directive -> its value, for each directive read
-    in_body = False
+    lineno = 0  # after the loop, the line of .begin, or the last line
 
     split = _tokens if "#" in text else str.split
     raws = text.splitlines()
@@ -111,7 +112,6 @@ def parse_real(text):
                 raise RealFormatError(".numvars takes one number", lineno)
             header[head] = int(tokens[1])
         elif head == ".begin":
-            in_body = True
             break
         else:
             raise RealFormatError(f"unknown directive {head}", lineno)
@@ -122,15 +122,14 @@ def parse_real(text):
 
     # The body is read a row at a time, against the header read so far.  A
     # row as write_real spells it, on distinct lines that index_of knows,
-    # becomes its tuple of line indices at once; any other row is parsed
-    # and checked, until the first bad one.  That row is kept, with its
-    # line, and judged again only after the checks below on the body's end
-    # and on the header, which take precedence over it.
+    # becomes its tuple of line indices at once; any other row holds its
+    # place with None and is judged only after the checks below on the
+    # body's end and on the header, which take precedence over it.
     rows = []
     append = rows.append
-    bad = None  # the first bad row, as (tokens, lineno)
+    odd = []  # each other row, as (its place in rows, tokens, lineno)
     ended = False
-    body = iter(raws[lineno:] if in_body else ())
+    body = iter(raws[lineno:])  # empty if the loop above found no .begin
     for tokens in map(split, body):
         n = len(tokens)
         try:
@@ -160,12 +159,8 @@ def parse_real(text):
         if tokens[0] == ".end":
             ended = True
             break
-        if bad is None:
-            lineno = len(raws) - length_hint(body)
-            try:
-                append(_checked_row(tokens, index_of, lineno))
-            except (RealFormatError, UnsupportedError):
-                bad = tokens, lineno
+        odd.append((len(rows), tokens, len(raws) - length_hint(body)))
+        append(None)
     for tokens in map(split, body):
         if tokens:
             lineno = len(raws) - length_hint(body)
@@ -175,7 +170,7 @@ def parse_real(text):
         raise RealFormatError("missing .numvars")
     if variables is None:
         raise RealFormatError("missing .variables")
-    if not in_body or not ended:
+    if not ended:
         raise RealFormatError("missing .begin/.end body")
 
     for head in _LISTS:
@@ -205,9 +200,8 @@ def parse_real(text):
                         f"inconsistent header: .inputs entry {k} is {got!r}, "
                         f"not {want!r}"
                     )
-    if bad is not None:
-        tokens, lineno = bad
-        _checked_row(tokens, index_of, lineno)  # raises, as it did above
+    for at, tokens, lineno in odd:  # in file order, so the first bad raises
+        rows[at] = _checked_row(tokens, index_of, lineno)
 
     # a line's output is None for garbage, else its .outputs label, which
     # defaults to the line's name
@@ -220,8 +214,8 @@ def parse_real(text):
 
 
 def _checked_row(tokens, index_of, lineno):
-    """The row of a gate line that is not spelled as write_real spells it,
-    or its RealFormatError or UnsupportedError."""
+    """The row of a gate line that is not spelled as write_real spells it;
+    raise its RealFormatError or UnsupportedError if it is bad."""
     head = tokens[0]
     n = _gate_size(head, lineno)
     if len(tokens) != n + 1:

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
-from .errors import FanoutError, UnsupportedError
+from .errors import FanoutError, FeedbackError
 from .ir import IrCircuit, build_netlist, detect_cycles
 
 _inputs = attrgetter("inputs")
@@ -80,11 +80,7 @@ def slot_circuit(c):
             "run fanout preprocessing first"
         )
     if cycle is not None:
-        placed = set(c._index.order)
-        left = ", ".join(f"g{i}" for i in range(len(c.gates)) if i not in placed)
-        raise UnsupportedError(
-            f"slotting made no progress; unplaced gates: {left}"
-        )
+        raise FeedbackError(cycle)
     level = c._index.level
     waves = [[] for _ in range(max(level, default=0))]
     for i, k in enumerate(level):

@@ -6,8 +6,8 @@ other (a comment, a continuation, a line break other than "\\n", text
 before the first directive) is first rewritten by blif._logical_lines to
 one logical line per "\\n", with each line's number in the file.
 parse_real reads its body in one loop: a row as write_real spells it
-becomes its packed row directly, and any other row takes the checked
-branch.
+becomes its packed row directly, and any other row keeps its place and
+takes the checked branch once, after the header checks.
 
 An outcome is what a reader makes of a text: its result, or its error's
 type, message and line.  The outcomes on fixed seeded families of texts,
@@ -32,6 +32,7 @@ import revmap.blif as blif
 import revmap.realfmt as realfmt
 from revmap import (
     IrCircuit,
+    RealFormatError,
     RevCircuit,
     convert_circuit,
     gen_random_circuit,
@@ -484,6 +485,34 @@ def test_canonical_real_never_takes_the_checked_branch(monkeypatch):
     monkeypatch.setattr(realfmt, "_checked_row", refuse)
     for text, r in expected:
         assert parse_real(text) == r
+
+
+ABC_HEADER = (".version 2.0\n.numvars 3\n.variables a b c\n.inputs a b c\n"
+              ".outputs a b c\n.constants ---\n.garbage ---\n.begin\n")
+
+
+def test_each_odd_row_is_judged_at_most_once(monkeypatch):
+    # t01 a is good and t2 a a is the first bad row; the rows after it
+    # are never judged, and no row twice
+    text = ABC_HEADER + "t2 a b\nt01 a\nt2 a a\nt4 a b c a\nt1 b\n.end\n"
+    calls = []
+    checked_row = realfmt._checked_row
+
+    def counted(tokens, index_of, lineno):
+        calls.append(lineno)
+        return checked_row(tokens, index_of, lineno)
+
+    monkeypatch.setattr(realfmt, "_checked_row", counted)
+    with pytest.raises(RealFormatError) as err:
+        parse_real(text)
+    assert str(err.value) == "line 11: gate touches a line twice: (0, 0)"
+    assert calls == [10, 11]
+
+
+def test_odd_rows_keep_their_place():
+    r = parse_real(ABC_HEADER + "t1 a\nt02 a b\nt1 b\n.end\n")
+    assert r._rows == ((0,), (0, 1), (1,))
+    assert r == parse_real(ABC_HEADER + "t1 a\nt2 a b\nt1 b\n.end\n")
 
 
 SEEDED_BLIF_DIGESTS = """

@@ -236,6 +236,7 @@ NAMES = ["", " a", "a b", "a\tb", "a\nb", "a\u00a0b", "\u2003", "a\x1cb",
                          if isinstance(name, bytes) else None)
 def test_set_checks_judge_each_name_like_the_walk(name):
     for c in (
+        IrCircuit(name, ("a",), ("a",)),
         IrCircuit("m", (name,), (name,)),
         IrCircuit("m", ("a",), ("y",), (IrGate(K.NOT, ("a",), (name,)),
                                         IrGate(K.NOT, (name,), ("y",)))),
@@ -260,7 +261,8 @@ def test_validation_is_the_walk_on_malformed_circuits():
 
 
 edit = st.tuples(
-    st.sampled_from(["rename", "drop", "repeat", "rekind", "output", "input"]),
+    st.sampled_from(["rename", "drop", "repeat", "rekind", "output", "input",
+                     "model"]),
     st.integers(0, 1000),
     st.sampled_from(NAMES),
     st.sampled_from(list(K)),
@@ -269,7 +271,9 @@ edit = st.tuples(
 
 def mutate(c, edits):
     """c with each edit applied: names swapped, gates dropped or repeated,
-    kinds changed without their arity, outputs and inputs added."""
+    kinds changed without their arity, outputs and inputs added, the model
+    renamed."""
+    model = c.name
     inputs, outputs, gates = list(c.inputs), list(c.outputs), list(c.gates)
     for op, at, name, kind in edits:
         if op == "rename":
@@ -301,7 +305,9 @@ def mutate(c, edits):
             outputs.append(name)
         elif op == "input":
             inputs.append(name)
-    return IrCircuit(c.name, inputs, outputs, gates)
+        elif op == "model":
+            model = name
+    return IrCircuit(model, inputs, outputs, gates)
 
 
 BASES = [parse_blif(HALF_ADDER_BLIF), parse_blif(buffer_chain_blif(3)),

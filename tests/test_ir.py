@@ -313,6 +313,17 @@ def test_rev_gate_messages(controls, target, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("controls, target", [
+    ((0.5,), 2), ((), 2.0), ((True,), 1), ((0, "1"), 2),
+    # judged before the rules above, which these would otherwise break
+    ((0.0, 0), 1), ((), -1.0), ((0, 1, 2.5), 3),
+])
+def test_rev_gate_rejects_indices_that_are_not_ints(controls, target):
+    with pytest.raises(TypeError) as err:
+        RevGate(controls, target)
+    assert str(err.value) == f"line indices are not ints: {(*controls, target)}"
+
+
 @pytest.mark.parametrize("lines, gates, message", [
     # the first gate out of range is named, whichever of its lines it is
     ((Line("a"), Line("b")), (t2(0, 1), t3(0, 1, 2), t2(3, 1), t1(5)),

@@ -2,12 +2,20 @@
 
 A name repeated in .outputs is reported by that name, also when a buffer
 renames its net, and a name that cannot be hashed is reported as a bad
-name instead of raising.
+name instead of raising.  The model name is judged as a net name is, so
+that a circuit which validates reads back under its own name.
 """
 
 import pytest
 
-from revmap import IrCircuit, IrGate, IrGateKind, validate_circuit
+from revmap import (
+    IrCircuit,
+    IrGate,
+    IrGateKind,
+    parse_intermediate,
+    validate_circuit,
+    write_intermediate,
+)
 from revmap.cli import main
 
 K = IrGateKind
@@ -78,3 +86,20 @@ def test_an_unhashable_name_is_a_bad_name(c, want):
     # an unhashable name is never a repeat and never driven, so it is
     # reported as an undriven name of the same place would be
     assert [str(v) for v in validate_circuit(c)] == want
+
+
+@pytest.mark.parametrize("model", ["a#b", "", "a b", "x\\", "#", None, 5, ["m"]])
+def test_a_model_name_that_cannot_be_written_back_is_a_bad_name(model):
+    # reported first, before the net names' violations
+    c = IrCircuit(model, ("a", "a"), ("y",), (IrGate(K.NOT, ("a",), ("y",)),))
+    assert [str(v) for v in validate_circuit(c)] == [
+        f"bad-name: {model!r}", "duplicate-name: a"]
+    sound = IrCircuit(model, ("a",), ("y",), (IrGate(K.NOT, ("a",), ("y",)),))
+    assert [str(v) for v in validate_circuit(sound)] == [f"bad-name: {model!r}"]
+
+
+@pytest.mark.parametrize("model", ["m", "top", "a[3]", "n$1", "\u00fc", "a\\b"])
+def test_a_valid_model_name_reads_back(model):
+    c = IrCircuit(model, ("a",), ("y",), (IrGate(K.NOT, ("a",), ("y",)),))
+    assert validate_circuit(c) == []
+    assert parse_intermediate(write_intermediate(c)) == c

@@ -9,12 +9,12 @@ import pytest
 import revmap.slotting as slotting
 from revmap import (
     FanoutError,
+    FeedbackError,
     IrCircuit,
     IrGate,
     IrGateKind,
     Slot,
     SlottedCircuit,
-    UnsupportedError,
     convert_circuit,
     gen_random_circuit,
     insert_copiers,
@@ -123,10 +123,10 @@ def test_stuck_on_unreachable_loop():
         ),
     )
     with pytest.raises(
-        UnsupportedError,
-        match="^slotting made no progress; unplaced gates: g1, g2$",
-    ):
+        FeedbackError, match="^feedback loop through gates g1 -> g2$"
+    ) as exc:
         slot_circuit(c)
+    assert exc.value.cycle == (1, 2)
 
 
 def test_stuck_on_loop_that_reads_no_input():
@@ -143,10 +143,10 @@ def test_stuck_on_loop_that_reads_no_input():
         ),
     )
     with pytest.raises(
-        UnsupportedError,
-        match="^slotting made no progress; unplaced gates: g1, g2$",
-    ):
+        FeedbackError, match="^feedback loop through gates g1 -> g2$"
+    ) as exc:
         slot_circuit(c)
+    assert exc.value.cycle == (1, 2)
 
 
 def test_slots_match_longest_path_oracle():
