@@ -95,18 +95,21 @@ def cmd_slots(args):
     return 0
 
 
-CAP_CEILING = 24  # both caps; verify simulates at most 2^24 assignments
+# both caps, and log2 of the largest --samples: verify simulates at most
+# 2^24 assignments
+CAP_CEILING = 24
 
 
 def cmd_verify(args):
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    for flag, cap in (("--max-exhaustive", args.max_exhaustive),
-                      ("--max-bijective", args.max_bijective)):
-        if cap < 0:
-            raise UsageError(f"{flag} must be at least 0, got {cap}")
-        if cap > CAP_CEILING:
-            raise UsageError(f"{flag} must be at most {CAP_CEILING}, got {cap}")
+    for flag, value, low, high in (
+        ("--samples", args.samples, 1, 1 << CAP_CEILING),
+        ("--max-exhaustive", args.max_exhaustive, 0, CAP_CEILING),
+        ("--max-bijective", args.max_bijective, 0, CAP_CEILING),
+    ):
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+        if value > high:
+            raise UsageError(f"{flag} must be at most {high}, got {value}")
     c = _load_blif(args.circuit)
     r = parse_real(_read(args.real))
     report = check_equivalence(
@@ -204,7 +207,7 @@ def build_parser():
     p.add_argument("--max-exhaustive", type=int, default=12, metavar="N",
                    help="exhaustive up to N primary inputs (default 12, 0 to 24)")
     p.add_argument("--samples", type=int, default=4096, metavar="N",
-                   help="assignments to sample above the cap (default 4096)")
+                   help="assignments to sample above the cap (default 4096, 1 to 16777216)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--max-bijective", type=int, default=16, metavar="N",
                    help="print bijectivity=skipped above N lines (default 16, 0 to 24)")

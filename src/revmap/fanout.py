@@ -22,7 +22,6 @@ from .ir import (
     IrCircuit,
     IrGate,
     IrGateKind,
-    _derive_index,
     _fresh_names,
     build_netlist,
 )
@@ -32,9 +31,9 @@ def insert_copiers(c):
     """Return an equivalent circuit in which every net drives exactly one sink.
 
     Idempotent: running it on its own output changes nothing.  c must
-    validate and be acyclic, and the copier nets are fresh, so the result
-    is sound by construction: it comes with a derived netlist index, and
-    validating or slotting it builds none.
+    validate and be acyclic.  The copier nets are fresh, so the result is
+    sound, and it is judged like any other circuit on its first
+    validation.
     """
     records = build_netlist(c)
     if c._index.cycle is not None:
@@ -98,6 +97,4 @@ def insert_copiers(c):
         out_gates.append(g)
         if i in chains:
             out_gates += chains[i]
-    # c validated and every copier net is fresh, so the result is sound by
-    # construction
-    return _derive_index(IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates)))
+    return IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates))

@@ -20,14 +20,12 @@ because IrCircuit and IrGate turn their sequence fields into tuples when
 built, so nothing the index was built from can change.  validate_circuit,
 check_circuit and detect_cycles are views of it; build_netlist takes only
 the driver map from it and walks the gates itself for each net's sinks.
-Only this module builds an index or its driver map.  An index is fresh or
-derived.  A circuit read from a file, or built by a caller, gets a fresh
-one on first use: set checks and a lookup of each gate input decide
-whether it is sound, and the ordered walk, which alone lists violations,
-runs only when one of them fails.  The
-circuit that insert_copiers builds is sound by construction and gets a
-derived index from _derive_index, which checks nothing, so its first
-validation is already a lookup.
+Only this module builds an index or its driver map, and it builds every
+index one way, whoever made the circuit: a parsed circuit, a caller's and
+the one insert_copiers builds alike get theirs on first use, where set
+checks and a lookup of each gate input decide whether it is sound, and the
+ordered walk, which alone lists violations, runs only when one of them
+fails.
 """
 
 import re
@@ -403,20 +401,6 @@ def detect_cycles(c):
     return None if cycle is None else list(cycle)
 
 
-def _derive_index(c):
-    """Memoize on c an index that checks nothing; return c.
-
-    Only for a circuit that is sound by construction, as insert_copiers'
-    output is: its parent validated, and every name it adds is fresh.
-    """
-    driver = dict.fromkeys(c.inputs)
-    for i, g in enumerate(c.gates):
-        for name in g.outputs:
-            driver[name] = i
-    c.__dict__["_index"] = _NetIndex(c, driver)
-    return c
-
-
 class _NetIndex:
     """The answers to every graph question about one IrCircuit.
 
@@ -429,22 +413,17 @@ class _NetIndex:
     cycle (detect_cycles' witness as a tuple, None if every gate is
     placed).
 
-    An index is fresh or derived.  A fresh one, _NetIndex(c), takes its
-    driver map from the set checks of _sound_driver and then looks up each
-    gate input in it; if the checks fail, or a lookup finds an undriven or
-    unhashable name, _walk lists the violations, in their documented
-    order.  A derived one, _NetIndex(c, driver), is given the driver map
-    of a circuit that is sound by construction (see _derive_index) and
-    checks nothing.  Both place the gates with the same readers and Kahn
-    passes.
+    _NetIndex(c) takes its driver map from the set checks of _sound_driver
+    and then looks up each gate input in it; if the checks fail, or a
+    lookup finds an undriven or unhashable name, _walk lists the
+    violations, in their documented order.
     """
 
     __slots__ = ("violations", "driver", "order", "level", "cycle")
 
-    def __init__(self, c, driver=None):
+    def __init__(self, c):
         gates = c.gates
-        if driver is None:
-            driver = _sound_driver(c)
+        driver = _sound_driver(c)
         pending = []  # per gate, how many of its inputs other gates drive
         readers = [[] for _ in gates]  # per gate, the gates reading it
         if driver is not None:
@@ -563,8 +542,8 @@ def _key(name):
 def _walk(c):
     """List c's violations in their documented order.
 
-    The reference judge of soundness, and the slow path: a fresh index
-    calls it only on a circuit its set checks or lookups find unsound.
+    The reference judge of soundness, and the slow path: an index calls
+    it only on a circuit its set checks or lookups find unsound.
     Each read of an undriven net, in read order, comes last.
     """
     found = []

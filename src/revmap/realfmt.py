@@ -110,7 +110,10 @@ def parse_real(text):
         elif head == ".numvars":
             if len(tokens) != 2 or not _is_number(tokens[1]):
                 raise RealFormatError(".numvars takes one number", lineno)
-            header[head] = int(tokens[1])
+            try:
+                header[head] = int(tokens[1])
+            except ValueError:  # more digits than int() reads
+                raise RealFormatError(".numvars has too many digits", lineno) from None
         elif head == ".begin":
             break
         else:
@@ -250,9 +253,11 @@ def _gate_size(head, lineno):
     """Lines touched by a gate row with this head."""
     if head[:1] != "t" or not _is_number(head[1:]):
         raise RealFormatError(f"unknown gate {head!r}", lineno)
-    n = int(head[1:])
-    if n > 3:
-        raise UnsupportedError(f"unsupported gate t{n}: at most 2 controls")
-    if n < 1:
-        raise RealFormatError(f"bad gate size t{n}", lineno)
-    return n
+    # the number as int() spells it, without building an int of a number
+    # of any length
+    digits = head[1:].lstrip("0")
+    if len(digits) > 1 or digits > "3":
+        raise UnsupportedError(f"unsupported gate t{digits}: at most 2 controls")
+    if not digits:
+        raise RealFormatError("bad gate size t0", lineno)
+    return int(digits)

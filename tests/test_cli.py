@@ -270,6 +270,27 @@ def test_verify_cap_above_ceiling_is_exit_4(half_adder, tmp_path, capsys,
     assert err == f"error[4]: {flag} must be at most 24, got {value}\n"
 
 
+@pytest.mark.parametrize("value", ["16777217", "100000000"])
+def test_verify_samples_above_ceiling_is_exit_4(half_adder, tmp_path, capsys,
+                                                value):
+    # at most 2^24 assignments, like the caps; rejected before either file
+    # is read: the .real does not exist
+    missing = tmp_path / "missing.real"
+    assert main(["verify", str(half_adder), str(missing), "--samples",
+                 value]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[4]: --samples must be at most 16777216, got {value}\n"
+
+
+def test_verify_samples_at_the_ceiling(half_adder, tmp_path, capsys):
+    real = tmp_path / "ha.real"
+    assert main(["convert", str(half_adder), "-o", str(real)]) == 0
+    assert main(["verify", str(half_adder), str(real), "--samples",
+                 "16777216"]) == 0
+    assert "status=Equivalent" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", ["--max-exhaustive", "--max-bijective"])
 @pytest.mark.parametrize("value", ["-1", "-1000000"])
 def test_verify_cap_below_zero_is_exit_4(half_adder, tmp_path, capsys, flag,
@@ -620,6 +641,19 @@ REAL_HEADER = (
     (REAL_HEADER.replace(".variables a b c", ".variables a b")
      + "t\u00b2 a\n.end\n", 2,
      "error[2]: inconsistent header: .variables lists 2 entries for 3 lines"),
+    # a number of any length is read: a gate size by its digits, and a
+    # .numvars beyond the int-string limit is a bad .numvars row
+    (REAL_HEADER + "t" + "1" * 5000 + " a\n.end\n", 3,
+     "error[3]: unsupported gate t" + "1" * 5000 + ": at most 2 controls"),
+    (REAL_HEADER + "t" + "0" * 5000 + "2 a b\n.end\n", 0,
+     "lines=3 constants=0 garbage=0 gates=1 quantum_cost=1"),
+    (REAL_HEADER.replace(".numvars 3", ".numvars " + "9" * 5000)
+     + "t1 a\n.end\n", 2,
+     "error[2]: line 2: .numvars has too many digits"),
+    (REAL_HEADER.replace(".numvars 3", ".numvars 1" + "0" * 4299)
+     + "t1 a\n.end\n", 2,
+     "error[2]: inconsistent header: .variables lists 3 entries for 1"
+     + "0" * 4299 + " lines"),
     # a directive with no word reads as the empty word, judged by its length
     (".version 2.0\n.numvars 2\n.variables a b\n.constants\n.begin\n.end\n",
      2, "error[2]: inconsistent header: .constants word has length 0 for 2 lines"),
@@ -711,6 +745,10 @@ REAL_HEADER = (
     "superscript-numvars",
     "arabic-indic-numvars",
     "superscript-gate-bad-header",
+    "huge-gate",
+    "zero-padded-gate",
+    "huge-numvars",
+    "longest-numvars",
     "constants-no-word",
     "variables-length",
     "inputs-length",

@@ -1,12 +1,12 @@
-"""The netlist index: how a fresh one decides soundness, and the derived one.
+"""The netlist index: how it decides soundness, on every kind of circuit.
 
-A fresh index decides soundness with set checks and lookups, and runs the
+An index decides soundness with set checks and lookups, and runs the
 ordered walk, the reference judge, only when one fails: so the set checks
 must call a circuit sound exactly when the walk finds no violation, and
-validate_circuit must list exactly the walk's violations.  insert_copiers
-hands its result an index derived from its parent's checks instead of
-building one; it must equal a fresh index of the same circuit in every
-field.
+validate_circuit must list exactly the walk's violations.  The circuit
+insert_copiers derives from its parent gets its index like any other, on
+its first validation, and must be judged sound by it; the
+test_derived_index_* tests check that index.
 """
 
 import gc
@@ -23,10 +23,12 @@ from revmap import (
     IrGate,
     IrGateKind,
     build_netlist,
+    detect_cycles,
     gen_random_circuit,
     insert_copiers,
     parse_blif,
     parse_intermediate,
+    slot_circuit,
     validate_circuit,
 )
 from revmap.ir import _NetIndex, _sound_driver, _walk
@@ -46,38 +48,39 @@ K = IrGateKind
 FIELDS = ("violations", "driver", "order", "level", "cycle")
 
 
-def assert_derived_equals_fresh(c):
+def assert_copier_circuit_is_sound(c):
+    """insert_copiers(c) is judged sound and acyclic by its memoized index,
+    which equals _NetIndex of it in every field, and is idempotent."""
     p = insert_copiers(c)
-    assert "_index" in vars(p)  # handed over, not built on first use
-    derived, fresh = p._index, _NetIndex(p)
+    memo, fresh = p._index, _NetIndex(p)
     for name in FIELDS:
-        assert getattr(derived, name) == getattr(fresh, name), name
-    assert list(derived.driver) == list(fresh.driver)  # key order too
-    assert derived.violations == () and derived.cycle is None
+        assert getattr(memo, name) == getattr(fresh, name), name
+    assert list(memo.driver) == list(fresh.driver)  # key order too
+    assert memo.violations == () and memo.cycle is None
     assert insert_copiers(p) == p
     return p
 
 
 def test_derived_index_on_random_circuits():
     for seed in range(300):
-        assert_derived_equals_fresh(gen_random_circuit(seed, 1 + seed % 9, seed % 41))
+        assert_copier_circuit_is_sound(gen_random_circuit(seed, 1 + seed % 9, seed % 41))
 
 
 def test_derived_index_on_the_acceptance_seeds():
     for c in random_suite():
-        assert_derived_equals_fresh(c)
+        assert_copier_circuit_is_sound(c)
 
 
 def test_derived_index_on_aliased_and_buffered_circuits():
     for seed in range(60):
-        assert_derived_equals_fresh(parse_blif(aliased_blif(seed)))
+        assert_copier_circuit_is_sound(parse_blif(aliased_blif(seed)))
     for length in (1, 3, 8):
-        assert_derived_equals_fresh(parse_blif(buffer_chain_blif(length)))
+        assert_copier_circuit_is_sound(parse_blif(buffer_chain_blif(length)))
 
 
 def test_derived_index_on_samples():
     for text in (AND_BLIF, HALF_ADDER_BLIF, not_chain_blif(40)):
-        assert_derived_equals_fresh(parse_blif(text))
+        assert_copier_circuit_is_sound(parse_blif(text))
 
 
 def test_derived_index_when_a_primary_output_feeds_gates():
@@ -89,7 +92,7 @@ def test_derived_index_when_a_primary_output_feeds_gates():
         IrGate(K.XOR, ("p", "a"), ("y",)),
         IrGate(K.OR, ("b", "p"), ("z",)),
     ))
-    p = assert_derived_equals_fresh(c)
+    p = assert_copier_circuit_is_sound(c)
     (driver,) = [g for g in p.gates if g.kind is K.AND]
     assert driver.outputs == ("p__cp0",)
 
@@ -103,7 +106,7 @@ def test_derived_index_on_primary_input_chains():
         IrGate(K.NOR, ("b", "b"), ("z",)),
         IrGate(K.XNOR, ("b", "a"), ("w",)),
     ))
-    p = assert_derived_equals_fresh(c)
+    p = assert_copier_circuit_is_sound(c)
     assert p.gates[0].kind is K.COPY
 
 
@@ -114,7 +117,7 @@ def test_derived_index_on_copies_in_the_parent():
         ".names x b p\n11 1\n.names y b q\n01 1\n10 1\n"
         ".names y r\n0 1\n.names b s\n0 1\n.end\n"
     )
-    assert_derived_equals_fresh(c)
+    assert_copier_circuit_is_sound(c)
 
 
 def test_derived_index_on_reads_before_the_driver():
@@ -130,7 +133,7 @@ def test_derived_index_on_reads_before_the_driver():
     assert (records["x"].source, records["x"].sinks) == (2, ((1, 0), (3, 0)))
     assert (records["y"].source, records["y"].sinks) == (
         2, (PO_SINK, (0, 0), (0, 1)))
-    p = assert_derived_equals_fresh(c)
+    p = assert_copier_circuit_is_sound(c)
     assert p.gates[0].inputs == ("y__cp2", "y__cp3")
     # the COPY's chains follow it in driver order: x's, then y's
     assert [g.inputs for g in p.gates if g.kind is K.COPY] == [
@@ -142,20 +145,46 @@ def test_derived_index_without_fanout():
         IrGate(K.NOT, ("y",), ("z",)),
         IrGate(K.AND, ("a", "b"), ("y",)),
     ))
-    p = assert_derived_equals_fresh(c)
+    p = assert_copier_circuit_is_sound(c)
     assert p == c
 
 
 def test_derived_index_holds_no_reference_to_its_circuit():
-    p = insert_copiers(parse_blif(HALF_ADDER_BLIF))
-    assert all(r is not p for r in gc.get_referents(p._index))
+    # neither a parsed circuit's index nor its copier circuit's
+    def circuits():
+        c = parse_blif(HALF_ADDER_BLIF)
+        assert c._index.violations == ()
+        yield c
+        p = insert_copiers(c)
+        assert p._index.violations == ()
+        yield p
+
+    for c in circuits():
+        assert all(r is not c for r in gc.get_referents(c._index))
     gc.collect()
     gc.disable()
     try:
-        insert_copiers(parse_blif(HALF_ADDER_BLIF))
+        list(circuits())
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+def test_the_copier_circuit_is_judged_on_its_first_validation(monkeypatch):
+    # the first validation of insert_copiers' output, in slot_circuit, runs
+    # the set checks once; every later one is a lookup
+    calls = []
+
+    def sound_driver(c):
+        calls.append(c)
+        return _sound_driver(c)
+
+    p = insert_copiers(gen_random_circuit(7, 4, 30))
+    monkeypatch.setattr(revmap.ir, "_sound_driver", sound_driver)
+    slot_circuit(p)
+    assert calls == [p]
+    assert validate_circuit(p) == [] and detect_cycles(p) is None
+    assert calls == [p]
 
 
 @st.composite
@@ -180,7 +209,7 @@ def sound_circuits(draw):
 @given(sound_circuits())
 def test_derived_index_property(c):
     assert validate_circuit(c) == []
-    assert_derived_equals_fresh(c)
+    assert_copier_circuit_is_sound(c)
 
 
 def sound_samples():
@@ -203,9 +232,7 @@ def test_a_sound_circuit_never_reaches_the_walk(monkeypatch):
         assert _sound_driver(c) is not None, c.name
         assert _NetIndex(c).violations == ()
         if c._index.cycle is None:
-            p = insert_copiers(c)
-            plain = IrCircuit(p.name, p.inputs, p.outputs, p.gates)
-            assert _NetIndex(plain).violations == ()
+            assert _NetIndex(insert_copiers(c)).violations == ()
 
 
 # ------------------------------------------- set checks against the walk

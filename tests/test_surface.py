@@ -90,7 +90,6 @@ def private_imports():
 def test_modules_share_only_these_private_names():
     assert private_imports() == {
         ("fanout", "ir", "_fresh_names"),
-        ("fanout", "ir", "_derive_index"),
         ("convert", "ir", "_fresh_names"),
         ("convert", "ir", "_rev_circuit"),
         ("realfmt", "ir", "_rev_circuit"),
