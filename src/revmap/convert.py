@@ -18,6 +18,7 @@ generator, _bind, so a slotting that one rejects the other rejects too.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .ir import IrGateKind, _fresh_names, _rev_circuit, check_circuit
 from .templates import Role, template_for
@@ -40,7 +41,8 @@ def _bind(s, restore_controls, line_of_net):
     the walk is done it maps each primary output, and every other live
     net, to the line carrying it.  Per gate, yields its slot number, its
     position, its kind, its template's constants, its template's gates as
-    rows of roles (controls, then target) and its binding: the lines of
+    getters, each mapping the binding to the gate's row of lines (controls,
+    then target) as a tuple, and its binding: the lines of
     IN1, IN2 (IN1 again for a one-input gate) and ANC, the first line its
     constants take.  The circuit must validate (ValidationError); a read of
     an unbound net and a primary output left unbound are ValueErrors.
@@ -50,7 +52,7 @@ def _bind(s, restore_controls, line_of_net):
     line_of_net.update(zip(c.inputs, range(len(c.inputs))))
     take = line_of_net.pop
     width = len(c.inputs)
-    # kind -> its template and the template's gates as rows of roles
+    # kind -> its template and the template's gates as row getters
     plans = {}
     for slot_no, wave in enumerate(s._waves, start=1):
         for gi in wave:
@@ -58,9 +60,7 @@ def _bind(s, restore_controls, line_of_net):
             plan = plans.get(gate.kind)
             if plan is None:
                 tpl = template_for(gate.kind, restore_controls)
-                ops = tuple(
-                    tuple(map(int, (*tg.controls, tg.target))) for tg in tpl.gates
-                )
+                ops = tuple(map(_row_getter, tpl.gates))
                 plan = plans[gate.kind] = (tpl, ops)
             tpl, ops = plan
             ins = gate.inputs
@@ -80,6 +80,15 @@ def _bind(s, restore_controls, line_of_net):
     missing = set(c.outputs).difference(line_of_net)
     if missing:
         raise ValueError(f"primary outputs left unbound: {sorted(missing)}")
+
+
+def _row_getter(tg):
+    """The getter that maps a binding to template gate tg's row of lines,
+    its controls and then its target, as a tuple."""
+    roles = tuple(map(int, (*tg.controls, tg.target)))
+    if len(roles) == 1:  # a NOT: a slice, so that its row is a tuple too
+        return itemgetter(slice(roles[0], roles[0] + 1))
+    return itemgetter(*roles)
 
 
 def convert_circuit(s, restore_controls=True):
@@ -103,12 +112,7 @@ def convert_circuit(s, restore_controls=True):
     for _, _, _, added, ops, bind in _bind(s, restore_controls, line_of_net):
         constants += added
         for op in ops:
-            if len(op) == 2:
-                append((bind[op[0]], bind[op[1]]))
-            elif len(op) == 3:
-                append((bind[op[0]], bind[op[1]], bind[op[2]]))
-            else:
-                append((bind[op[0]],))
+            append(op(bind))
     # the constants' names avoid every net: each is a key of the driver map
     width = len(constants)
     added = width - len(c.inputs)

@@ -22,10 +22,13 @@ check_circuit and detect_cycles are views of it; build_netlist takes only
 the driver map from it and walks the gates itself for each net's sinks.
 Only this module builds an index or its driver map, and it builds every
 index one way, whoever made the circuit: a parsed circuit, a caller's and
-the one insert_copiers builds alike get theirs on first use, where set
-checks and a lookup of each gate input decide whether it is sound, and the
-ordered walk, which alone lists violations, runs only when one of them
-fails.
+the one insert_copiers builds alike get theirs on first use.  Set checks
+build the driver map; then one placement walk goes through the gates in
+declaration order, placing each gate after its drivers (walking down to
+any that are not placed yet) and so looking up each gate input in the
+map.  It gives every gate its level and finds the gates behind a loop.
+The ordered walk, which alone lists violations, runs only when a set
+check or a lookup fails.
 """
 
 import re
@@ -407,16 +410,19 @@ class _NetIndex:
     violations is validate_circuit's list as a tuple.  Only if it is empty
     are the rest set.  driver maps each driven net to its gate's position,
     None for a primary input: the primary inputs first, then each gate's
-    outputs in gate order.  One Kahn pass sets order (the gates that can
-    be placed, each after its drivers), level (per placed gate, 1 + the
-    highest level of its drivers, 1 if it reads only primary inputs) and
-    cycle (detect_cycles' witness as a tuple, None if every gate is
-    placed).
+    outputs in gate order.  level holds, per gate, 1 + the highest level
+    of its drivers (1 if it reads only primary inputs), or -1 if the gate
+    is behind a loop: it depends, directly or not, on a cycle.  order
+    lists the other gates, each after its drivers; if the gates are
+    declared in dependency order, it is their declaration order.  cycle
+    is detect_cycles' witness as a tuple, None if no gate is behind a
+    loop.
 
     _NetIndex(c) takes its driver map from the set checks of _sound_driver
-    and then looks up each gate input in it; if the checks fail, or a
-    lookup finds an undriven or unhashable name, _walk lists the
-    violations, in their documented order.
+    and then places the gates in one walk, looking up each gate input in
+    the map; if the checks fail, or a lookup finds an undriven or
+    unhashable name, _walk lists the violations, in their documented
+    order.
     """
 
     __slots__ = ("violations", "driver", "order", "level", "cycle")
@@ -424,50 +430,90 @@ class _NetIndex:
     def __init__(self, c):
         gates = c.gates
         driver = _sound_driver(c)
-        pending = []  # per gate, how many of its inputs other gates drive
-        readers = [[] for _ in gates]  # per gate, the gates reading it
+        self.order = self.level = self.cycle = None
         if driver is not None:
             try:
-                for i, g in enumerate(gates):
-                    n = 0
-                    for name in g.inputs:
-                        d = driver[name]
-                        if d is not None:
-                            readers[d].append(i)
-                            n += 1
-                    pending.append(n)
+                self.order, self.level = _place(gates, driver)
             except (KeyError, TypeError):  # an undriven or unhashable read
                 driver = None
         self.driver = driver
-        self.order = self.level = self.cycle = None
         if driver is None:
             self.violations = tuple(_walk(c))
             return
         self.violations = ()
-        level = [1] * len(gates)
-        order = [i for i, n in enumerate(pending) if n == 0]
-        for i in order:
-            above = level[i] + 1
-            for j in readers[i]:
-                if level[j] < above:
-                    level[j] = above
-                pending[j] -= 1
-                if pending[j] == 0:
-                    order.append(j)
-        self.order, self.level = order, level
-        if len(order) == len(gates):
+        level = self.level
+        if len(self.order) == len(gates):
             return
-        # every unplaced gate has an unplaced driver, so the walk must repeat
-        unplaced = [n > 0 for n in pending]
+        # every gate behind a loop has a driver behind one, so the walk
+        # must repeat
         walked = {}  # gate -> step of the walk, in walk order
-        node = unplaced.index(True)
+        node = level.index(-1)
         while node not in walked:
             walked[node] = len(walked)
             node = next(
                 d for d in map(driver.get, gates[node].inputs)
-                if d is not None and unplaced[d]
+                if d is not None and level[d] < 0
             )
         self.cycle = tuple(walked)[walked[node]:]
+
+
+def _place(gates, driver):
+    """Return the order and level of _NetIndex, placing the gates in
+    declaration order and, before a gate, its unplaced drivers, depth
+    first.
+
+    Every gate input is looked up in driver, behind a loop too, so an
+    undriven or unhashable read raises KeyError or TypeError.  level
+    also marks the walk: 0 for a gate not reached yet and -1 for one on
+    the walk or behind a loop, never a search of the stack, so that the
+    walk is linear however deep it goes.
+    """
+    level = [0] * len(gates)
+    order = []
+    for i, g in enumerate(gates):
+        if level[i]:
+            continue
+        top = 0
+        for name in g.inputs:
+            d = driver[name]
+            if d is not None:
+                k = level[d]
+                if k > top:
+                    top = k
+                elif k <= 0:
+                    break
+        else:  # every driver is placed: the common case
+            level[i] = top + 1
+            order.append(i)
+            continue
+        level[i] = -1
+        stack = [i]
+        while stack:
+            j = stack[-1]
+            top = 0
+            for name in gates[j].inputs:
+                d = driver[name]
+                if d is not None:
+                    k = level[d]
+                    if k > top:
+                        top = k
+                    elif k == 0:  # place d first
+                        level[d] = -1
+                        stack.append(d)
+                        break
+                    elif k < 0:  # a loop: the whole walk is behind it
+                        for behind in stack:
+                            # every input is still looked up: an undriven
+                            # read behind a loop is a violation too
+                            for name in gates[behind].inputs:
+                                driver[name]
+                        stack.clear()
+                        break
+            else:
+                level[j] = top + 1
+                order.append(j)
+                stack.pop()
+    return order, level
 
 
 # whitespace, exactly the characters str.split splits on, and the .real and

@@ -6,7 +6,10 @@ must call a circuit sound exactly when the walk finds no violation, and
 validate_circuit must list exactly the walk's violations.  The circuit
 insert_copiers derives from its parent gets its index like any other, on
 its first validation, and must be judged sound by it; the
-test_derived_index_* tests check that index.
+test_derived_index_* tests check that index.  The index's levels, order
+and cycle witness come from one placement walk, which the test_placement_*
+tests hold against a plain reference computed by fixpoints, on gates in
+any declaration order and behind loops, and which must stay linear.
 """
 
 import gc
@@ -31,7 +34,7 @@ from revmap import (
     slot_circuit,
     validate_circuit,
 )
-from revmap.ir import _NetIndex, _sound_driver, _walk
+from revmap.ir import Violation, _NetIndex, _sound_driver, _walk
 from samples import (
     AND_BLIF,
     CANONICAL_ROWS,
@@ -354,3 +357,163 @@ def test_set_checks_agree_with_the_walk(base, edits):
 def test_validation_is_the_walk_on_mutated_circuits(base, edits):
     c = mutate(base, edits)
     assert validate_circuit(c) == _walk(c)
+
+
+# ------------------------------------- placement against a plain reference
+
+
+def reference(c):
+    """The index's order, level and cycle questions answered plainly, for
+    a circuit whose set checks pass: (behind, level, cycle), where behind
+    is the set of gates that depend, directly or not, on a cycle, level
+    maps every other gate to its ASAP level and cycle is detect_cycles'
+    documented witness."""
+    source = {}
+    for i, g in enumerate(c.gates):
+        for net in g.outputs:
+            source[net] = i
+    drivers = [[source[n] for n in g.inputs if n in source] for g in c.gates]
+    # the gates each gate depends on, to a fixpoint
+    reach = [set(ds) for ds in drivers]
+    changed = True
+    while changed:
+        changed = False
+        for i, ds in enumerate(drivers):
+            more = set().union(*(reach[d] for d in ds)) - reach[i]
+            if more:
+                reach[i] |= more
+                changed = True
+    on_cycle = {i for i in range(len(c.gates)) if i in reach[i]}
+    behind = {i for i in range(len(c.gates)) if (reach[i] | {i}) & on_cycle}
+    level = {i: 1 for i in range(len(c.gates)) if i not in behind}
+    changed = True
+    while changed:
+        changed = False
+        for i in level:
+            want = 1 + max((level[d] for d in drivers[i]), default=0)
+            if level[i] != want:
+                level[i] = want
+                changed = True
+    cycle = None
+    if behind:
+        walked = [min(behind)]
+        while True:
+            node = next(d for d in drivers[walked[-1]] if d in behind)
+            if node in walked:
+                cycle = tuple(walked[walked.index(node):])
+                break
+            walked.append(node)
+    return behind, level, cycle
+
+
+def assert_index_matches_reference(c):
+    index = _NetIndex(c)
+    assert index.violations == tuple(_walk(c)) == ()
+    behind, level, cycle = reference(c)
+    assert index.cycle == cycle
+    assert {i for i, k in enumerate(index.level) if k < 0} == behind
+    assert {i: index.level[i] for i in level} == level
+    # each placeable gate once, after its drivers
+    assert sorted(index.order) == sorted(level)
+    placed = set()
+    for i in index.order:
+        assert all(index.driver[n] is None or index.driver[n] in placed
+                   for n in c.gates[i].inputs)
+        placed.add(i)
+
+
+def reordered(c, gates):
+    return IrCircuit(c.name, c.inputs, c.outputs, gates)
+
+
+def with_loop(c, rng):
+    """c with one gate input renamed to the output of a later gate, which
+    closes a loop whenever that gate depends on the reader."""
+    gates = list(c.gates)
+    i = rng.randrange(len(gates) - 1)
+    j = rng.randrange(i + 1, len(gates))
+    g = gates[i]
+    ins = list(g.inputs)
+    ins[rng.randrange(len(ins))] = gates[j].outputs[0]
+    gates[i] = IrGate(g.kind, ins, g.outputs)
+    return reordered(c, gates)
+
+
+def test_placement_matches_the_reference_in_any_declaration_order():
+    for seed in range(150):
+        c = gen_random_circuit(seed, 1 + seed % 6, seed % 37)
+        gates = list(c.gates)
+        random.Random(seed).shuffle(gates)
+        for variant in (c, reordered(c, c.gates[::-1]), reordered(c, gates)):
+            assert_index_matches_reference(variant)
+
+
+def test_placement_matches_the_reference_behind_injected_loops():
+    loops = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        c = with_loop(gen_random_circuit(seed, 1 + seed % 5, 2 + seed % 30), rng)
+        gates = list(c.gates)
+        rng.shuffle(gates)
+        for variant in (c, reordered(c, c.gates[::-1]), reordered(c, gates)):
+            assert_index_matches_reference(variant)
+            loops += variant._index.cycle is not None
+    assert loops > 100  # most injected renames close a loop
+
+
+def test_an_undriven_read_behind_a_loop_is_still_found():
+    # g1 and g2 form a loop; g0, behind it, and g2 itself read the undriven
+    # net u, each as an input the walk would not need for placement
+    for second in ("g0", "g2"):
+        gates = [
+            IrGate(K.AND, ("p", "u" if second == "g0" else "a"), ("y",)),
+            IrGate(K.NOT, ("q",), ("p",)),
+            IrGate(K.AND, ("p", "u" if second == "g2" else "a"), ("q",)),
+        ]
+        for order in (gates, gates[::-1]):
+            c = IrCircuit("m", ("a",), ("y",), order)
+            assert validate_circuit(c) == _walk(c) == [
+                Violation("undriven-input", "u")]
+
+
+class CountedName(str):
+    """A net name that counts its hashes: one per driver-map lookup."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedName.hashes += 1
+        return str.__hash__(self)
+
+
+def counted(c):
+    def names(seq):
+        return tuple(map(CountedName, seq))
+
+    gates = [IrGate(g.kind, names(g.inputs), names(g.outputs)) for g in c.gates]
+    return IrCircuit(c.name, names(c.inputs), names(c.outputs), gates)
+
+
+def hashes_per_name(c):
+    """Hashes of c's names while its index is built, per name mentioned."""
+    mentioned = len(c.inputs) + len(c.outputs) + sum(
+        len(g.inputs) + len(g.outputs) for g in c.gates)
+    CountedName.hashes = 0
+    index = _NetIndex(c)
+    assert index.violations == ()
+    return CountedName.hashes / mentioned
+
+
+def test_placement_is_linear_in_the_gate_inputs():
+    # a reverse-declared chain walks 4000 gates deep, a shuffled random
+    # circuit walks often, and a ring puts every gate behind a loop
+    chain = parse_blif(not_chain_blif(4000))
+    ring = IrCircuit("ring", ("a",), (), [
+        IrGate(K.NOT, ((f"w{k - 1}" if k else "w3999"),), (f"w{k}",))
+        for k in range(4000)])
+    assert ring._index.cycle == (0, *range(3999, 0, -1))
+    gates = list(gen_random_circuit(3, 32, 4000).gates)
+    random.Random(3).shuffle(gates)
+    shuffled = reordered(gen_random_circuit(3, 32, 4000), gates)
+    for c in (chain, ring, shuffled):
+        assert hashes_per_name(counted(c)) <= 3

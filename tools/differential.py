@@ -3,15 +3,21 @@
     python tools/differential.py OLD NEW
 
 OLD and NEW are checkout roots, each holding src/revmap.  The corpus is
-built once, from this checkout's tests/samples.py, bench/corpus.py and
-revmap's gen_random_circuit, and written to a scratch directory:
+built once, from this checkout's tests, bench/corpus.py and revmap's
+gen_random_circuit, and written to a scratch directory:
 
-- the 200 acceptance seeds, gen_random_circuit(s, 1 + s % 8, s % 13);
+- the 200 acceptance seeds, gen_random_circuit(s, 1 + s % 8, s % 13),
+  each also with its gates reversed and with them shuffled (seeded), so
+  that gates are declared before their drivers;
 - the four compile_deep circuits of seed 11 (32x32 multiplier, 256-bit
   adder, 32 inputs and 8000 random gates, a 3000-NOT chain);
 - the BLIF samples of tests/samples.py and a NOT-chain .real;
-- seeded one-token mutants of every small BLIF and .real text above:
-  a token deleted, repeated, or replaced by another of the text or by a
+- the BLIF and .real texts of the tests' tables: every str holding
+  '.model' or '.begin' among the module-level values of tests/test_*.py
+  and the arguments of their pytest.mark.parametrize tables;
+- seeded one-token mutants of every BLIF and .real text above, but not
+  of the reordered seeds, their .real files or the compile_deep BLIFs: a
+  token deleted, repeated, or replaced by another of the text or by a
   word of either format.
 
 Each BLIF runs through convert (plain, --trace, --no-restore-controls),
@@ -71,6 +77,36 @@ def one_token_mutant(text, rng):
     return text[:at.start()] + word + text[at.end():]
 
 
+def _strings(value):
+    """The strs in value, walking into lists, tuples and dict values."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _strings(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _strings(item)
+
+
+def table_texts():
+    """The BLIF texts and the .real texts in the tests' tables, each list
+    in file and table order, without repeats."""
+    import importlib
+
+    texts = {}
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        module = importlib.import_module(path.stem)
+        for value in vars(module).values():
+            if callable(value):
+                for mark in getattr(value, "pytestmark", ()):
+                    texts.update(dict.fromkeys(_strings(mark.args)))
+            texts.update(dict.fromkeys(_strings(value)))
+    reals = [text for text in texts if ".begin" in text]
+    blifs = [text for text in texts if ".model" in text and ".begin" not in text]
+    return blifs, reals
+
+
 def build_corpus(indir):
     """Write the corpus's files to indir; return the commands, each an
     argv for cli.main."""
@@ -79,10 +115,12 @@ def build_corpus(indir):
     import corpus
     import samples
     from revmap import (
+        IrCircuit,
         convert_circuit,
         gen_random_circuit,
         insert_copiers,
         parse_intermediate,
+        parse_real,
         slot_circuit,
         write_intermediate,
         write_real,
@@ -90,10 +128,17 @@ def build_corpus(indir):
     from revmap.errors import RevmapError
 
     blifs = {}  # name -> BLIF text
+    reordered = {}  # name -> BLIF text of a seed with its gates reordered
     gens = []  # (name, gen argv tail)
     for seed in range(ACCEPTANCE_SEEDS):
         size = (1 + seed % 8, seed % 13)
-        blifs[f"seed{seed}"] = write_intermediate(gen_random_circuit(seed, *size))
+        c = gen_random_circuit(seed, *size)
+        blifs[f"seed{seed}"] = write_intermediate(c)
+        shuffled = list(c.gates)
+        random.Random(seed).shuffle(shuffled)
+        for suffix, gates in (("rev", c.gates[::-1]), ("shuf", shuffled)):
+            reordered[f"seed{seed}_{suffix}"] = write_intermediate(
+                IrCircuit(c.name, c.inputs, c.outputs, gates))
         gens.append((f"seed{seed}", [seed, *size]))
     deep_seed = random.Random(DEEP_SEED).randrange(1 << 30)
     deep = {
@@ -114,15 +159,30 @@ def build_corpus(indir):
            for k in samples.CANONICAL_ROWS},
     })
     reals = {"not_chain_real40": samples.not_chain_real(40)}
+    known = {*blifs.values(), *reals.values()}
+    table_blifs, table_reals = table_texts()
+    blifs.update((f"table{k}", text) for k, text in enumerate(table_blifs)
+                 if text not in known)
+    reals.update((f"table_real{k}", text) for k, text in enumerate(table_reals)
+                 if text not in known)
     widths = {}  # name -> primary input count, for sim's bits
-    for name, text in {**blifs, **deep}.items():
+    for name, text in reals.items():
         try:
-            c = parse_intermediate(text)
-            reals[name] = write_real(convert_circuit(slot_circuit(insert_copiers(c))))
+            widths[name] = len(parse_real(text).primary_inputs)
         except RevmapError:
             continue
-        widths[name] = len(c.inputs)
-    widths["not_chain_real40"] = 1
+
+    def convert_each(texts):
+        for name, text in texts.items():
+            try:
+                c = parse_intermediate(text)
+                reals[name] = write_real(
+                    convert_circuit(slot_circuit(insert_copiers(c))))
+            except RevmapError:
+                continue
+            widths[name] = len(c.inputs)
+
+    convert_each({**blifs, **deep})
 
     # mutants of the small texts; each keeps its original's partner file
     # and width
@@ -134,7 +194,9 @@ def build_corpus(indir):
                 mutant = f"{name}_m{k}"
                 texts[mutant] = one_token_mutant(text, rng)
                 partner[mutant] = name
+    convert_each(reordered)
     blifs.update(deep)
+    blifs.update(reordered)
 
     def path(name, suffix):
         return str(indir / f"{name}.{suffix}")
