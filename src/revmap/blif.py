@@ -23,10 +23,10 @@ single-spaced logical line per "\n".
 """
 
 import re
-from itertools import product, repeat
+from itertools import chain, product, repeat
 
 from .errors import BlifError, UnsupportedError, ValidationError
-from .ir import IrCircuit, IrGate, IrGateKind, Violation, validate_circuit
+from .ir import IrGateKind, Violation, _ir_circuit, validate_circuit
 
 _COVER_KINDS = {
     (1, frozenset({"0"})): IrGateKind.NOT,
@@ -151,7 +151,10 @@ def _read_blocks(text, numbers, allow_copy):
     model = None
     inputs = []
     outputs = []
-    gates = []
+    # the gate columns: each gate's kind, input nets and output nets
+    kinds = []
+    ins_col = []
+    outs_col = []
     aliases = {}
     ended = False
     if text and text[0] != ".":  # a rewritten text whose first line is no directive
@@ -169,7 +172,7 @@ def _read_blocks(text, numbers, allow_copy):
         return [(j, tokens) for j, tokens in
                 enumerate(map(str.split, body.split("\n")), 1) if tokens]
 
-    append = gates.append
+    add_kind, add_ins, add_outs = kinds.append, ins_col.append, outs_col.append
     known = _KNOWN_COVERS.get
     for k, block in enumerate(blocks):
         head, _, body = block.partition("\n")
@@ -220,7 +223,9 @@ def _read_blocks(text, numbers, allow_copy):
                     if len(cover) <= 4:
                         _KNOWN_COVERS[key] = kind
             if kind is not None:
-                append(IrGate(kind, ins, (out,)))
+                add_kind(kind)
+                add_ins(ins)
+                add_outs((out,))
             elif out in aliases:
                 # a gate driving the same net is caught by _resolve_aliases
                 raise BlifError(f"multiple drivers for net '{out}'", line())
@@ -236,7 +241,9 @@ def _read_blocks(text, numbers, allow_copy):
                 raise BlifError(".copy is only valid in the intermediate format", line())
             if len(tokens) != 4:
                 raise BlifError(".copy takes one input and two outputs", line())
-            append(IrGate(IrGateKind.COPY, (tokens[1],), (tokens[2], tokens[3])))
+            add_kind(IrGateKind.COPY)
+            add_ins((tokens[1],))
+            add_outs((tokens[2], tokens[3]))
         elif directive == "model":
             if model is not None:
                 raise BlifError("only one .model block is supported", line())
@@ -256,17 +263,15 @@ def _read_blocks(text, numbers, allow_copy):
                 if ended:
                     raise BlifError("content after .end", line(j))
                 raise BlifError(f"expected a directive, got {row[0]!r}", line(j))
-    return _circuit(model, inputs, outputs, gates), aliases
-
-
-def _circuit(model, inputs, outputs, gates):
-    return IrCircuit(model or "top", tuple(inputs), tuple(outputs), tuple(gates))
+    c = _ir_circuit(model or "top", tuple(inputs), tuple(outputs),
+                    tuple(kinds), tuple(ins_col), tuple(outs_col))
+    return c, aliases
 
 
 def _resolve_aliases(c, aliases):
     if not aliases:
         return c
-    driven = {net for g in c.gates for net in g.outputs} | set(c.inputs)
+    driven = set(chain.from_iterable(c._outs)).union(c.inputs)
     clash = sorted(set(aliases) & driven)
     if clash:
         raise BlifError(f"multiple drivers for net '{clash[0]}'")
@@ -283,11 +288,10 @@ def _resolve_aliases(c, aliases):
             aliases[alias] = name
         return name
 
-    # only a gate that reads an alias is rebuilt
-    gates = tuple(
-        IrGate(g.kind, tuple(map(resolve, g.inputs)), g.outputs)
-        if not aliases.keys().isdisjoint(g.inputs) else g
-        for g in c.gates
+    # only a gate that reads an alias gets new input nets
+    ins_col = tuple(
+        tuple(map(resolve, ins)) if not aliases.keys().isdisjoint(ins) else ins
+        for ins in c._ins
     )
     outputs = tuple(map(resolve, c.outputs))
     if len(set(outputs)) < len(set(c.outputs)):
@@ -299,7 +303,7 @@ def _resolve_aliases(c, aliases):
                     f"primary outputs '{first[net]}' and '{name}' are both net "
                     f"'{net}' after buffer aliasing; one net cannot be two outputs"
                 )
-    resolved = IrCircuit(c.name, c.inputs, outputs, gates)
+    resolved = _ir_circuit(c.name, c.inputs, outputs, c._kinds, ins_col, c._outs)
     repeated = []  # each repeat of a name in .outputs, in order
     if len(outputs) > len(set(outputs)):
         seen = set()
@@ -316,7 +320,7 @@ def _resolve_aliases(c, aliases):
     roots = [r for r in dict.fromkeys(map(resolve, aliases)) if r not in driven]
     lost = []
     if roots:
-        read = {net for g in gates for net in g.inputs}.union(resolved.outputs)
+        read = set(chain.from_iterable(ins_col)).union(outputs)
         lost = [Violation("undriven-input", r) for r in roots if r not in read]
     if lost or not aliases.keys().isdisjoint(repeated):
         # validate_circuit names a repeated output by its net; name it as
@@ -356,12 +360,12 @@ def write_intermediate(c):
     out = [f".model {c.name}"]
     out.append(" ".join((".inputs", *c.inputs)).rstrip())
     out.append(" ".join((".outputs", *c.outputs)).rstrip())
-    for g in c.gates:
-        if g.kind is IrGateKind.COPY:
-            out.append(f".copy {g.inputs[0]} {g.outputs[0]} {g.outputs[1]}")
+    for kind, ins, outs in zip(c._kinds, c._ins, c._outs):
+        if kind is IrGateKind.COPY:
+            out.append(f".copy {ins[0]} {outs[0]} {outs[1]}")
             continue
-        out.append(" ".join((".names", *g.inputs, g.outputs[0])))
-        for pattern in _EMIT_ROWS[g.kind]:
+        out.append(" ".join((".names", *ins, outs[0])))
+        for pattern in _EMIT_ROWS[kind]:
             out.append(f"{pattern} 1")
     out.append(".end")
     return "\n".join(out) + "\n"

@@ -87,7 +87,7 @@ def cmd_slots(args):
     c = slotted.circuit
     rows = [("slot", "gates", "nets")]
     for k, slot in enumerate(slotted.slots):
-        names = " ".join(f"g{i}:{c.gates[i].kind.name}" for i in slot.gates) or "-"
+        names = " ".join(f"g{i}:{c._kinds[i].name}" for i in slot.gates) or "-"
         rows.append((str(k), names, " ".join(slot.nets) or "-"))
     widths = [max(len(row[i]) for row in rows) for i in range(2)]
     for row in rows:

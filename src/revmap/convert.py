@@ -14,7 +14,9 @@ line carrying each primary output net then gets that output name and
 every other line is garbage.
 
 convert_circuit and conversion_trace walk the binding in one private
-generator, _bind, so a slotting that one rejects the other rejects too.
+function, _bind, so a slotting that one rejects the other rejects too.
+It reads the circuit's gate columns and, per gate, appends its
+template's rows to one list, with no Python frame of its own per gate.
 """
 
 from dataclasses import dataclass
@@ -34,36 +36,44 @@ class TraceEntry:
     new_lines: tuple[int, ...]
 
 
-def _bind(s, restore_controls, line_of_net):
+def _bind(s, restore_controls, trace=None):
     """Walk the gates of s in slot order, binding each net to its line.
 
-    line_of_net starts empty and is given the primary inputs' lines; once
-    the walk is done it maps each primary output, and every other live
-    net, to the line carrying it.  Per gate, yields its slot number, its
-    position, its kind, its template's constants, its template's gates as
-    getters, each mapping the binding to the gate's row of lines (controls,
-    then target) as a tuple, and its binding: the lines of
-    IN1, IN2 (IN1 again for a one-input gate) and ANC, the first line its
-    constants take.  The circuit must validate (ValidationError); a read of
-    an unbound net and a primary output left unbound are ValueErrors.
+    Returns the binding, the constants column and the rows.  The binding
+    maps each primary output, and every other live net, to the line
+    carrying it once the walk is done.  The constants column holds, per
+    line, its constant bit, None on a primary-input line.  The rows hold
+    each gate's template gates in order, each as the tuple of lines its
+    .real row names (controls, then target).  A template gate is a getter
+    that maps the gate's binding to its row: the lines of IN1, IN2 (IN1
+    again for a one-input gate) and ANC, the first line the template's
+    constants take.  With a trace list, each gate's TraceEntry is
+    appended to it.  The circuit must validate (ValidationError); a read
+    of an unbound net and a primary output left unbound are ValueErrors.
     """
     c = s.circuit
     check_circuit(c)
-    line_of_net.update(zip(c.inputs, range(len(c.inputs))))
+    kinds, ins_col, outs_col = c._kinds, c._ins, c._outs
+    constants = [None] * len(c.inputs)
+    line_of_net = dict(zip(c.inputs, range(len(c.inputs))))
     take = line_of_net.pop
     width = len(c.inputs)
-    # kind -> its template and the template's gates as row getters
+    rows = []
+    append = rows.append
+    # kind -> its template's constants, gates as row getters and outputs
     plans = {}
+    # no two bound nets share a line and a template gate names distinct
+    # roles, so each row names distinct lines
     for slot_no, wave in enumerate(s._waves, start=1):
         for gi in wave:
-            gate = c.gates[gi]
-            plan = plans.get(gate.kind)
+            kind = kinds[gi]
+            plan = plans.get(kind)
             if plan is None:
-                tpl = template_for(gate.kind, restore_controls)
+                tpl = template_for(kind, restore_controls)
                 ops = tuple(map(_row_getter, tpl.gates))
-                plan = plans[gate.kind] = (tpl, ops)
-            tpl, ops = plan
-            ins = gate.inputs
+                plan = plans[kind] = (tpl.constants, ops, tpl.outputs)
+            added, ops, roles = plan
+            ins = ins_col[gi]
             try:
                 first = take(ins[0])
                 second = take(ins[1]) if len(ins) == 2 else first
@@ -73,13 +83,20 @@ def _bind(s, restore_controls, line_of_net):
                     "which no line carries"
                 ) from None
             bind = (first, second, width)
-            width += len(tpl.constants)
-            yield slot_no, gi, gate.kind, tpl.constants, ops, bind
-            for role, net in zip(tpl.outputs, gate.outputs):
+            if added:
+                constants += added
+                width += len(added)
+            for op in ops:
+                append(op(bind))
+            for role, net in zip(roles, outs_col[gi]):
                 line_of_net[net] = bind[role]
+            if trace is not None:
+                new_lines = tuple(range(bind[Role.ANC], width))
+                trace.append(TraceEntry(slot_no, gi, kind, new_lines))
     missing = set(c.outputs).difference(line_of_net)
     if missing:
         raise ValueError(f"primary outputs left unbound: {sorted(missing)}")
+    return line_of_net, constants, rows
 
 
 def _row_getter(tg):
@@ -101,18 +118,7 @@ def convert_circuit(s, restore_controls=True):
     or whose gate is left out is a ValueError.
     """
     c = s.circuit
-    # per line, its constant bit (None on a primary input); the constants'
-    # names are drawn once all lines are known
-    constants = [None] * len(c.inputs)
-    line_of_net = {}
-    rows = []
-    append = rows.append
-    # no two bound nets share a line and a template gate names distinct
-    # roles, so each row names distinct lines
-    for _, _, _, added, ops, bind in _bind(s, restore_controls, line_of_net):
-        constants += added
-        for op in ops:
-            append(op(bind))
+    line_of_net, constants, rows = _bind(s, restore_controls)
     # the constants' names avoid every net: each is a key of the driver map
     width = len(constants)
     added = width - len(c.inputs)
@@ -128,8 +134,5 @@ def conversion_trace(s, restore_controls=True):
     It rejects what convert_circuit rejects, with the same error.
     """
     trace = []
-    for slot_no, gi, kind, added, _, bind in _bind(s, restore_controls, {}):
-        first = bind[Role.ANC]
-        new_lines = tuple(range(first, first + len(added)))
-        trace.append(TraceEntry(slot_no, gi, kind, new_lines))
+    _bind(s, restore_controls, trace)
     return tuple(trace)

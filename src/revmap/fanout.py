@@ -17,14 +17,7 @@ for nets driven by primary inputs.
 """
 
 from .errors import FeedbackError, UnsupportedError
-from .ir import (
-    PO_SINK,
-    IrCircuit,
-    IrGate,
-    IrGateKind,
-    _fresh_names,
-    build_netlist,
-)
+from .ir import PO_SINK, IrGateKind, _fresh_names, _ir_circuit, build_netlist
 
 
 def insert_copiers(c):
@@ -33,23 +26,26 @@ def insert_copiers(c):
     Idempotent: running it on its own output changes nothing.  c must
     validate and be acyclic.  The copier nets are fresh, so the result is
     sound, and it is judged like any other circuit on its first
-    validation.
+    validation.  The result is built as gate columns: a gate that no
+    copier feeds or renames keeps its input and output tuples.
     """
     records = build_netlist(c)
     if c._index.cycle is not None:
         raise FeedbackError(c._index.cycle)
-    gates = c.gates
-    # per gate, None while no copier touches it: its inputs with a copier's
-    # output in place of each multi-sink net, and its outputs with a renamed
-    # PO net
-    fed = [None] * len(gates)
-    renamed = [None] * len(gates)
-    chains = {}  # driving gate (None for primary inputs) -> its copiers
-    COPY = IrGateKind.COPY
+    # per gate, its input nets with a copier's output in place of each
+    # multi-sink net, and its output nets with a renamed PO net; a gate
+    # that no copier touches keeps its own tuples
+    ins_col, outs_col = list(c._ins), list(c._outs)
+    fed = {}  # gate -> its input nets as a list, once a copier feeds it
+    renamed = {}  # gate -> its output nets as a list, once one is renamed
+    # driving gate (None for primary inputs) -> its copiers' input nets and
+    # output nets
+    chains = {}
     # the driver map lists the primary inputs, then each gate's outputs, so
-    # fresh names are allocated in that order; they need only avoid c's own
-    # nets, as the names drawn for two nets <a> and <b> (<a>__cp, a number,
-    # underscores) never meet
+    # fresh names are allocated in that order, and chains holds the primary
+    # inputs' first and then the gates' in gate order; the names need only
+    # avoid c's own nets, as the names drawn for two nets <a> and <b>
+    # (<a>__cp, a number, underscores) never meet
     for net, source in c._index.driver.items():
         sinks = records[net].sinks
         if len(sinks) < 2:
@@ -68,33 +64,46 @@ def insert_copiers(c):
                 )
             # the driver yields a fresh net, and the first copier gives the
             # PO its name back
-            outs = gates[source].outputs
-            if renamed[source] is None:
+            outs = c._outs[source]
+            if source not in renamed:
                 renamed[source] = list(outs)
             carry = renamed[source][outs.index(net)] = names[0]
             names[0] = net
-        copiers = chains.setdefault(source, [])
+        copier_ins, copier_outs = chains.setdefault(source, ([], []))
         supplies = []
         for first, second in zip(names[::2], names[1::2]):
-            copiers.append(IrGate(COPY, (carry,), (first, second)))
+            copier_ins.append((carry,))
+            copier_outs.append((first, second))
             supplies.append(first)
             carry = second
         supplies.append(carry)
         for sink, supply in zip(sinks, supplies):
             if sink != PO_SINK:
                 gate, pin = sink
-                if fed[gate] is None:
-                    fed[gate] = list(gates[gate].inputs)
+                if gate not in fed:
+                    fed[gate] = list(ins_col[gate])
                 fed[gate][pin] = supply
+    for gate, nets in fed.items():
+        ins_col[gate] = tuple(nets)
+    for gate, nets in renamed.items():
+        outs_col[gate] = tuple(nets)
 
-    # a gate that no copier feeds or renames is kept as it is; each chain
-    # follows its driving gate, and the primary inputs' chains lead
-    out_gates = chains.pop(None, [])
-    for i, g in enumerate(gates):
-        if fed[i] is not None or renamed[i] is not None:
-            g = IrGate(g.kind, tuple(fed[i] or g.inputs),
-                       tuple(renamed[i] or g.outputs))
-        out_gates.append(g)
-        if i in chains:
-            out_gates += chains[i]
-    return IrCircuit(c.name, c.inputs, c.outputs, tuple(out_gates))
+    # each chain follows its driving gate, and the primary inputs' chains
+    # lead
+    kinds, out_kinds, out_ins, out_outs = c._kinds, [], [], []
+    start = 0
+    for source, (copier_ins, copier_outs) in chains.items():
+        if source is not None:
+            stop = source + 1
+            out_kinds += kinds[start:stop]
+            out_ins += ins_col[start:stop]
+            out_outs += outs_col[start:stop]
+            start = stop
+        out_kinds += [IrGateKind.COPY] * len(copier_ins)
+        out_ins += copier_ins
+        out_outs += copier_outs
+    out_kinds += kinds[start:]
+    out_ins += ins_col[start:]
+    out_outs += outs_col[start:]
+    return _ir_circuit(c.name, c.inputs, c.outputs, tuple(out_kinds),
+                       tuple(out_ins), tuple(out_outs))

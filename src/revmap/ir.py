@@ -6,35 +6,39 @@ read from BLIF.  The reversible side is a line circuit (RevCircuit) of
 NOT/CNOT/Toffoli gates acting on a fixed set of lines, each line entering
 as a primary input or a constant and leaving as a primary output or
 garbage.  Both are immutable value types; every pipeline stage maps one
-value to another.  A RevCircuit holds its lines as three columns and its
-gates as rows of line indices, whoever builds it; its Lines and RevGates
-are views, built on first read.
+value to another.  Each holds one packed form, whoever builds it: an
+IrCircuit its gates as three columns, _kinds, _ins and _outs (each gate's
+kind, input nets and output nets), and a RevCircuit its lines as three
+columns and its gates as rows of line indices.  Their IrGates, Lines and
+RevGates are views, built on first read; the pipeline reads only the
+columns and rows.
 
 Gates carry no explicit id: a gate is identified by its position in the
-circuit's gate tuple, and diagnostics label position ``i`` as ``g<i>``.
+circuit's gate columns, and diagnostics label position ``i`` as ``g<i>``.
 
 Every graph question about an IrCircuit (is it sound, which gate drives a
 net, in what order can gates fire, where is a loop) is answered from one
 _NetIndex, memoized on the circuit as its _index.  The memo is sound
-because IrCircuit and IrGate turn their sequence fields into tuples when
-built, so nothing the index was built from can change.  validate_circuit,
-check_circuit and detect_cycles are views of it; build_netlist takes only
-the driver map from it and walks the gates itself for each net's sinks.
-Only this module builds an index or its driver map, and it builds every
-index one way, whoever made the circuit: a parsed circuit, a caller's and
-the one insert_copiers builds alike get theirs on first use.  Set checks
-build the driver map; then one placement walk goes through the gates in
-declaration order, placing each gate after its drivers (walking down to
-any that are not placed yet) and so looking up each gate input in the
-map.  It gives every gate its level and finds the gates behind a loop.
-The ordered walk, which alone lists violations, runs only when a set
-check or a lookup fails.
+because an IrCircuit's names and columns are tuples, and so are an
+IrGate's, so nothing the index was built from can change.
+validate_circuit, check_circuit and detect_cycles are views of it;
+build_netlist takes only the driver map from it and walks the gates
+itself for each net's sinks.  Only this module builds an index or its
+driver map, and it builds every index one way, whoever made the circuit:
+a parsed circuit, a caller's and the one insert_copiers builds alike get
+theirs on first use.  Set checks build the driver map; then one placement
+walk goes through the gates in declaration order, placing each gate after
+its drivers (walking down to any that are not placed yet) and so looking
+up each gate input in the map.  It gives every gate its level and finds
+the gates behind a loop.  The ordered walk, which alone lists violations,
+runs only when a set check or a lookup fails.
 """
 
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import count
 
 from .errors import ValidationError
 
@@ -80,6 +84,8 @@ class IrGate:
         # by hand, not a generated __init__ plus __post_init__, so that a
         # gate costs one Python frame; the slots' own setters write past the
         # frozen __setattr__, as a generated __init__ would
+        if type(kind) is not IrGateKind:
+            raise TypeError(f"not an IrGateKind: {kind!r}")
         _set_kind(self, kind)
         _set_inputs(self, inputs if type(inputs) is tuple else tuple(inputs))
         _set_outputs(self, outputs if type(outputs) is tuple else tuple(outputs))
@@ -90,24 +96,73 @@ _set_kind, _set_inputs, _set_outputs = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IrCircuit:
-    """A combinational netlist with named primary inputs and outputs."""
+    """A combinational netlist with named primary inputs and outputs.
+
+    Whoever builds it, a circuit holds one packed form: its gates as three
+    columns, _kinds, _ins and _outs, one entry per gate (its IrGateKind,
+    and its input and output nets as tuples, as an IrGate holds them).
+    gates is a view of them, built as IrGates on its first read and kept;
+    the pipeline reads only the columns, so for it no IrGate is built.
+    The constructor requires IrGates, packs them and keeps the caller's
+    gates, as a tuple, as the view.
+    """
 
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    gates: tuple[IrGate, ...] = ()
+    gates: tuple[IrGate, ...]
 
-    def __post_init__(self):
-        for name in ("inputs", "outputs", "gates"):
-            value = getattr(self, name)
-            if type(value) is not tuple:
-                object.__setattr__(self, name, tuple(value))
+    def __init__(self, name, inputs, outputs, gates=()):
+        gates = gates if type(gates) is tuple else tuple(gates)
+        for g in gates:
+            if not isinstance(g, IrGate):
+                raise TypeError(f"not an IrGate: {g!r}")
+        _ir_pack(
+            self, name, inputs, outputs, tuple(g.kind for g in gates),
+            tuple(g.inputs for g in gates), tuple(g.outputs for g in gates),
+        )
+        self.__dict__["gates"] = gates
+
+    def __getattr__(self, name):
+        # called only for what the instance lacks: gates, until it is
+        # first read, and whatever is misspelled
+        attrs = self.__dict__
+        if name != "gates" or "_kinds" not in attrs:
+            raise AttributeError(f"'IrCircuit' object has no attribute {name!r}")
+        value = tuple(map(IrGate, attrs["_kinds"], attrs["_ins"], attrs["_outs"]))
+        return attrs.setdefault("gates", value)
 
     @cached_property
     def _index(self):
         return _NetIndex(self)
+
+
+def _ir_pack(c, name, inputs, outputs, kinds, ins, outs):
+    # the one form every IrCircuit holds, whichever of its two builders
+    # made it
+    c.__dict__.update(
+        name=name,
+        inputs=inputs if type(inputs) is tuple else tuple(inputs),
+        outputs=outputs if type(outputs) is tuple else tuple(outputs),
+        _kinds=kinds, _ins=ins, _outs=outs,
+    )
+
+
+def _ir_circuit(name, inputs, outputs, kinds, ins, outs):
+    """The IrCircuit whose primary inputs and outputs are inputs and
+    outputs and whose gate columns are kinds, ins and outs, each a tuple.
+
+    Trusted: it checks nothing and only stores them.  Only the BLIF
+    reader, insert_copiers and gen_random_circuit call it, and each gives
+    one IrGateKind and one tuple of input nets and one of output nets per
+    gate, as IrGate would hold them.  Whether the circuit is sound is
+    judged, as for any circuit, by its index.
+    """
+    c = object.__new__(IrCircuit)
+    _ir_pack(c, name, inputs, outputs, kinds, ins, outs)
+    return c
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -376,14 +431,14 @@ def build_netlist(c):
     for net in c.outputs:
         sinks.setdefault(net, []).append(PO_SINK)
     get = sinks.get
-    for i, g in enumerate(c.gates):
-        for pin, net in enumerate(g.inputs):
+    for i, (ins, outs) in enumerate(zip(c._ins, c._outs)):
+        for pin, net in enumerate(ins):
             found = get(net)
             if found is None:
                 sinks[net] = [(i, pin)]
             else:
                 found.append((i, pin))
-        for net in g.outputs:
+        for net in outs:
             if net not in sinks:
                 sinks[net] = []
     driver = c._index.driver
@@ -428,12 +483,12 @@ class _NetIndex:
     __slots__ = ("violations", "driver", "order", "level", "cycle")
 
     def __init__(self, c):
-        gates = c.gates
+        ins = c._ins
         driver = _sound_driver(c)
         self.order = self.level = self.cycle = None
         if driver is not None:
             try:
-                self.order, self.level = _place(gates, driver)
+                self.order, self.level = _place(ins, driver)
             except (KeyError, TypeError):  # an undriven or unhashable read
                 driver = None
         self.driver = driver
@@ -442,7 +497,7 @@ class _NetIndex:
             return
         self.violations = ()
         level = self.level
-        if len(self.order) == len(gates):
+        if len(self.order) == len(ins):
             return
         # every gate behind a loop has a driver behind one, so the walk
         # must repeat
@@ -451,16 +506,16 @@ class _NetIndex:
         while node not in walked:
             walked[node] = len(walked)
             node = next(
-                d for d in map(driver.get, gates[node].inputs)
+                d for d in map(driver.get, ins[node])
                 if d is not None and level[d] < 0
             )
         self.cycle = tuple(walked)[walked[node]:]
 
 
-def _place(gates, driver):
-    """Return the order and level of _NetIndex, placing the gates in
-    declaration order and, before a gate, its unplaced drivers, depth
-    first.
+def _place(ins, driver):
+    """Return the order and level of _NetIndex, placing the gates, whose
+    input nets are ins, in declaration order and, before a gate, its
+    unplaced drivers, depth first.
 
     Every gate input is looked up in driver, behind a loop too, so an
     undriven or unhashable read raises KeyError or TypeError.  level
@@ -468,13 +523,13 @@ def _place(gates, driver):
     the walk or behind a loop, never a search of the stack, so that the
     walk is linear however deep it goes.
     """
-    level = [0] * len(gates)
+    level = [0] * len(ins)
     order = []
-    for i, g in enumerate(gates):
+    for i, names in enumerate(ins):
         if level[i]:
             continue
         top = 0
-        for name in g.inputs:
+        for name in names:
             d = driver[name]
             if d is not None:
                 k = level[d]
@@ -491,7 +546,7 @@ def _place(gates, driver):
         while stack:
             j = stack[-1]
             top = 0
-            for name in gates[j].inputs:
+            for name in ins[j]:
                 d = driver[name]
                 if d is not None:
                     k = level[d]
@@ -505,7 +560,7 @@ def _place(gates, driver):
                         for behind in stack:
                             # every input is still looked up: an undriven
                             # read behind a loop is a violation too
-                            for name in gates[behind].inputs:
+                            for name in ins[behind]:
                                 driver[name]
                         stack.clear()
                         break
@@ -551,9 +606,8 @@ def _sound_driver(c):
         driver = dict.fromkeys(inputs)
         size = len(inputs)
         arity = True
-        for i, g in enumerate(c.gates):
-            outs, kind = g.outputs, g.kind
-            if len(g.inputs) != kind.n_inputs or len(outs) != kind.n_outputs:
+        for i, kind, ins, outs in zip(count(), c._kinds, c._ins, c._outs):
+            if len(ins) != kind.n_inputs or len(outs) != kind.n_outputs:
                 arity = False
             size += len(outs)
             for name in outs:
@@ -609,8 +663,7 @@ def _walk(c):
             seen.add(key)
 
     driven = set(map(_key, c.inputs))
-    for i, g in enumerate(c.gates):
-        ins, outs, kind = g.inputs, g.outputs, g.kind
+    for i, kind, ins, outs in zip(count(), c._kinds, c._ins, c._outs):
         for name in (*ins, *outs):
             check_name(name)
         if len(ins) != kind.n_inputs or len(outs) != kind.n_outputs:
@@ -629,8 +682,8 @@ def _walk(c):
     for name in c.outputs:
         if _key(name) not in driven:
             found.append(Violation("undriven-output", name))
-    for g in c.gates:
-        for name in g.inputs:
+    for ins in c._ins:
+        for name in ins:
             if _key(name) not in driven:
                 found.append(Violation("undriven-input", name))
     return found

@@ -20,9 +20,10 @@ its line states.
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import FeedbackError, NameMismatchError
-from .ir import IrCircuit, IrGate, IrGateKind, check_circuit
+from .ir import IrGateKind, _ir_circuit, check_circuit
 
 # assignments per word in check_equivalence
 BLOCK = 4096
@@ -52,13 +53,13 @@ def eval_ir(c, assignment, word_width=1):
     NOT, COPY, AND, XOR, OR, NAND, NOR = (
         K.NOT, K.COPY, K.AND, K.XOR, K.OR, K.NAND, K.NOR
     )
-    for g in map(c.gates.__getitem__, index.order):
-        kind, ins = g.kind, g.inputs
+    kinds, ins_col, outs_col = c._kinds, c._ins, c._outs
+    for i in index.order:
+        kind, ins, outs = kinds[i], ins_col[i], outs_col[i]
         if kind is NOT:
-            values[g.outputs[0]] = mask ^ values[ins[0]]
+            values[outs[0]] = mask ^ values[ins[0]]
         elif kind is COPY:
-            out = g.outputs
-            values[out[0]] = values[out[1]] = values[ins[0]]
+            values[outs[0]] = values[outs[1]] = values[ins[0]]
         else:
             a, b = values[ins[0]], values[ins[1]]
             if kind is AND:
@@ -73,7 +74,7 @@ def eval_ir(c, assignment, word_width=1):
                 word = mask ^ (a | b)
             else:  # XNOR
                 word = mask ^ a ^ b
-            values[g.outputs[0]] = word
+            values[outs[0]] = word
     return {name: values[name] for name in c.outputs}
 
 
@@ -296,13 +297,17 @@ def gen_random_circuit(seed, n_inputs, n_gates):
     kinds = [k for k in IrGateKind if k is not IrGateKind.COPY]
     rng = random.Random(seed)
     nets = [f"i{k}" for k in range(n_inputs)]
-    gates = []
+    # the gate columns: each gate's kind, input nets and output nets
+    gate_kinds, ins_col, outs_col = [], [], []
     for g in range(n_gates):
         kind = kinds[rng.randrange(len(kinds))]
         ins = tuple(nets[rng.randrange(len(nets))] for _ in range(kind.n_inputs))
         out = f"w{g}"
-        gates.append(IrGate(kind, ins, (out,)))
+        gate_kinds.append(kind)
+        ins_col.append(ins)
+        outs_col.append((out,))
         nets.append(out)
-    read = {net for g in gates for net in g.inputs}
+    read = set(chain.from_iterable(ins_col))
     outputs = tuple(net for net in nets if net not in read)
-    return IrCircuit(f"rand{seed}", tuple(nets[:n_inputs]), outputs, tuple(gates))
+    return _ir_circuit(f"rand{seed}", tuple(nets[:n_inputs]), outputs,
+                       tuple(gate_kinds), tuple(ins_col), tuple(outs_col))

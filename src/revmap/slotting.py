@@ -21,12 +21,9 @@ SlottedCircuit.slots.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 
 from .errors import FanoutError, FeedbackError
 from .ir import IrCircuit, build_netlist, detect_cycles
-
-_inputs = attrgetter("inputs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +68,7 @@ class SlottedCircuit:
 def slot_circuit(c):
     cycle = detect_cycles(c)
     # one entry per sink: the primary outputs, then every gate input
-    reads = [*c.outputs, *chain.from_iterable(map(_inputs, c.gates))]
+    reads = [*c.outputs, *chain.from_iterable(c._ins)]
     if len(set(reads)) < len(reads):
         # name the first net with two sinks, in build_netlist's order
         rec = next(r for r in build_netlist(c).values() if len(r.sinks) > 1)
@@ -92,19 +89,19 @@ def slot_circuit(c):
 
 def _slots(c, waves):
     """The slots of fanout-free c, whose waves are given."""
-    wanted = {*c.outputs, *chain.from_iterable(map(_inputs, c.gates))}
+    wanted = {*c.outputs, *chain.from_iterable(c._ins)}
     # fanout-free, so a wanted net is read exactly once, and it stays
     # available until that read.  The available nets are kept oldest first,
     # so a wave costs only its own nets; a slot lists them newest first.
-    gates = c.gates
+    ins, outs = c._ins, c._outs
     alive = dict.fromkeys(net for net in reversed(c.inputs) if net in wanted)
     slots = [Slot((), c.inputs)]
     for wave in waves:
         for i in wave:
-            for net in gates[i].inputs:
+            for net in ins[i]:
                 del alive[net]
         for i in reversed(wave):
-            for net in reversed(gates[i].outputs):
+            for net in reversed(outs[i]):
                 if net in wanted:
                     alive[net] = None
         slots.append(Slot(wave, tuple(reversed(alive))))

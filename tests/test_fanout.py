@@ -120,19 +120,31 @@ def test_primary_output_keeps_its_name():
 
 
 def test_gates_no_copier_touches_are_kept():
-    # only a gate that a copier feeds, or whose output it renames, is built
-    # anew; every other gate of the result is the input's own object
-    c = gen_random_circuit(4, 5, 60)
-    fanned = {net for net, rec in build_netlist(c).items() if len(rec.sinks) > 1}
-    renamed = fanned.intersection(c.outputs)
-    p = insert_copiers(c)
-    kept = {id(g) for g in p.gates}
-    touched = [not fanned.isdisjoint(g.inputs) or not renamed.isdisjoint(g.outputs)
-               for g in c.gates]
-    assert any(touched) and not all(touched)
-    for g, rebuilt in zip(c.gates, touched):
-        assert (id(g) in kept) is not rebuilt
-    assert_same_function(c, p)
+    # only a gate that a copier feeds gets new input nets, and only one
+    # whose output it renames new output nets; every other gate of the
+    # result holds the input's own tuples
+    # x is a primary output that feeds two gates, so its driver's output
+    # is renamed
+    po_fanout = parse_blif(
+        ".model m\n.inputs a b\n.outputs x y z\n.names a b x\n11 1\n"
+        ".names x y\n0 1\n.names x b z\n11 1\n.end\n"
+    )
+    fed, moved = [], []
+    for c in (gen_random_circuit(4, 5, 60), po_fanout):
+        fanned = {net for net, rec in build_netlist(c).items() if len(rec.sinks) > 1}
+        renamed = fanned.intersection(c.outputs)
+        p = insert_copiers(c)
+        # c has no copier, so the result's other gates are c's, in order
+        own = [j for j, kind in enumerate(p._kinds) if kind is not K.COPY]
+        assert len(own) == len(c._kinds)
+        for i, j in enumerate(own):
+            fed.append(not fanned.isdisjoint(c._ins[i]))
+            moved.append(not renamed.isdisjoint(c._outs[i]))
+            assert p._kinds[j] is c._kinds[i]
+            assert (p._ins[j] is c._ins[i]) is not fed[-1]
+            assert (p._outs[j] is c._outs[i]) is not moved[-1]
+        assert_same_function(c, p)
+    assert any(fed) and not all(fed) and any(moved) and not all(moved)
 
 
 def test_both_outputs_of_a_copy_fan_out():

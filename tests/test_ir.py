@@ -286,6 +286,27 @@ def test_tuple_fields_are_kept_as_given():
     assert c.inputs is ins and c.gates is gates and c.outputs == ("y",)
 
 
+@pytest.mark.parametrize("g", [
+    "junk", None, ("not", ("a",), ("y",)), RevGate((), 0),
+], ids=["str", "none", "tuple", "rev-gate"])
+def test_ir_circuit_takes_only_ir_gates(g):
+    # judged where the gate enters, not as a bare AttributeError of the
+    # first validation
+    with pytest.raises(TypeError) as err:
+        IrCircuit("m", ("a",), ("y",), (IrGate(K.NOT, ("a",), ("y",)), g))
+    assert str(err.value) == f"not an IrGate: {g!r}"
+
+
+@pytest.mark.parametrize("kind", ["not", None, 1, K], ids=["str", "none", "int", "enum"])
+def test_ir_gate_takes_only_gate_kinds(kind):
+    with pytest.raises(TypeError) as err:
+        IrGate(kind, ("a",), ("y",))
+    assert str(err.value) == f"not an IrGateKind: {kind!r}"
+    with pytest.raises(TypeError) as err:
+        dataclasses.replace(IrGate(K.NOT, ("a",), ("y",)), kind=kind)
+    assert str(err.value) == f"not an IrGateKind: {kind!r}"
+
+
 def test_rev_gate_rejects_repeated_lines():
     with pytest.raises(ValueError):
         t3(0, 0, 1)

@@ -1,6 +1,10 @@
 """A RevCircuit holds one packed form, whoever builds it: its lines as
 three columns (names, constants, outputs) and its gates as the rows of
-line indices a .real gate row names, controls first, target last.
+line indices a .real gate row names, controls first, target last.  An
+IrCircuit does too: its gates as three columns (kinds, input nets,
+output nets), which the BLIF reader, insert_copiers and
+gen_random_circuit build and every stage of the pipeline reads, so no
+command builds an IrGate; IrCircuit.gates is built on its first read.
 
 parse_real and convert_circuit build only these columns and rows, and
 eval_rev, write_real, stats, check_equivalence and the sim command read
@@ -29,22 +33,29 @@ from revmap import (
     IrGate,
     IrGateKind,
     Line,
+    ValidationError,
     RevCircuit,
     RevGate,
     check_equivalence,
     convert_circuit,
+    eval_ir,
     eval_rev,
     gen_random_circuit,
     insert_copiers,
+    parse_blif,
+    parse_intermediate,
     parse_real,
     slot_circuit,
+    validate_circuit,
     stats,
     t1,
     t2,
     t3,
+    write_intermediate,
     write_real,
 )
 from revmap.cli import main
+from revmap.convert import conversion_trace
 from samples import HALF_ADDER_BLIF, is_well_formed
 
 K = IrGateKind
@@ -213,3 +224,193 @@ def test_an_unbuilt_circuit_has_no_views():
     assert not hasattr(bare, "lines") and not hasattr(bare, "gates")
     with pytest.raises(AttributeError, match="no attribute 'lines'"):
         bare.lines
+
+
+# ---------------------------------------------- the conventional side
+
+# every gate kind; x is a primary output that feeds two gates, so its
+# driver is renamed, and y is a buffer of an AND
+FANOUT_BLIF = """\
+.model m
+.inputs a b
+.outputs x p q r s t u
+.names a b x
+1- 1
+-1 1
+.names x b p
+11 1
+.names x a q
+00 1
+.names a b y
+11 1
+.names y r
+1 1
+.names r a s
+01 1
+10 1
+.names b t
+0 1
+.names b a u
+00 1
+11 1
+.names b a v
+0- 1
+-0 1
+.end
+"""
+
+
+def refuse_ir_gate(*args, **kwargs):
+    raise AssertionError("an IrGate was built")
+
+
+@pytest.fixture
+def no_ir_gates(monkeypatch):
+    # the commands read and build only the gate columns
+    monkeypatch.setattr(IrGate, "__init__", refuse_ir_gate)
+
+
+def test_commands_build_no_ir_gate(no_ir_gates, monkeypatch, tmp_path, capsys):
+    blif = tmp_path / "m.blif"
+    real = tmp_path / "m.real"
+    prep = tmp_path / "prep.blif"
+    bad = tmp_path / "bad.blif"
+    gen = tmp_path / "gen.blif"
+    blif.write_text(FANOUT_BLIF)
+    bad.write_text(FANOUT_BLIF.replace(".names b t", ".names z t"))
+    assert main(["convert", str(blif), "-o", str(real)]) == 0
+    assert main(["convert", str(blif), "-o", str(real), "--trace"]) == 0
+    assert main(["convert", str(blif), "-o", str(tmp_path / "bare.real"),
+                 "--no-restore-controls"]) == 0
+    assert main(["verify", str(blif), str(real)]) == 0
+    assert main(["prep", str(blif), "-o", str(prep)]) == 0
+    assert main(["verify", str(prep), str(real)]) == 0
+    assert main(["slots", str(blif)]) == 0
+    assert main(["sim", str(blif), "--input", "10"]) == 0
+    assert main(["gen", "--seed", "3", "--inputs", "4", "--gates", "30",
+                 "-o", str(gen)]) == 0
+    assert main(["sim", str(gen), "--input", "1011"]) == 0
+    # an unsound circuit's violations are listed from the columns too
+    assert main(["convert", str(bad), "-o", str(real)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error[2]: undriven-input: z\n"
+    assert "status=Equivalent" in out and "kind=COPY" in out
+    # r is a buffer of y, so .outputs names y
+    assert "x=1 p=0 q=0 y=0 s=1 t=1 u=0" in out
+    assert ".copy x__cp0 x x__cp1" in prep.read_text()
+    # the gates are still there to read, once they may be built
+    monkeypatch.undo()
+    c = parse_blif(FANOUT_BLIF)
+    assert c.gates[0] == IrGate(K.OR, ("a", "b"), ("x",))
+    assert [g.kind for g in c.gates] == [K.OR, K.AND, K.NOR, K.AND, K.XOR,
+                                         K.NOT, K.XNOR, K.NAND]
+
+
+def ir_circuits():
+    yield parse_blif(FANOUT_BLIF)
+    for seed in range(4):
+        c = gen_random_circuit(seed, 2 + seed, 5 * seed)
+        yield c
+        yield insert_copiers(c)
+
+
+@pytest.mark.parametrize("c", list(ir_circuits()))
+def test_packed_ir_circuit_is_a_plain_value(c):
+    text = write_intermediate(c)
+    # what a caller builds from the same IrGates
+    twin = IrCircuit(c.name, c.inputs, c.outputs, tuple(
+        IrGate(g.kind, g.inputs, g.outputs) for g in parse_intermediate(text).gates
+    ))
+    fresh = parse_intermediate(text)
+    copied = pickle.loads(pickle.dumps(fresh))
+    assert "gates" not in vars(fresh) and "gates" not in vars(copied)
+    assert copied == fresh == twin == c
+    assert hash(fresh) == hash(twin) and repr(fresh) == repr(twin)
+    assert "gates" in vars(fresh)  # built by the reads above, and kept
+    assert fresh.gates is fresh.gates
+    assert all(type(g) is IrGate for g in fresh.gates)
+    assert pickle.loads(pickle.dumps(fresh)) == twin
+    assert dataclasses.replace(fresh) == twin
+    assert copy.copy(fresh) == copy.deepcopy(fresh) == twin
+    renamed = dataclasses.replace(parse_intermediate(text), name="n")
+    assert renamed.name == "n" and renamed.gates == twin.gates
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh.gates = ()
+    with pytest.raises(AttributeError, match="'IrCircuit' object has no attribute 'gate'"):
+        fresh.gate
+
+
+def test_caller_gates_are_kept_as_the_view():
+    gates = (IrGate(K.NOT, ("a",), ("n",)), IrGate(K.NOT, ("n",), ("y",)))
+    c = IrCircuit("m", ("a",), ("y",), gates)
+    assert c.gates is gates
+    assert c._kinds == (K.NOT, K.NOT)
+    assert c._ins == (("a",), ("n",)) and c._outs == (("n",), ("y",))
+    assert c._ins[0] is gates[0].inputs and c._outs[1] is gates[1].outputs
+    assert IrCircuit("m", ("a",), ("y",)).gates == ()
+    assert IrCircuit("m", ("a",), ("y",))._kinds == ()
+
+
+def test_trusted_ir_circuit_equals_the_one_built_from_gates():
+    c = ir._ir_circuit("m", ("a", "b"), ("y", "z"), (K.COPY, K.AND),
+                       (("a",), ("a1", "b")), (("a1", "z"), ("y",)))
+    twin = IrCircuit("m", ("a", "b"), ("y", "z"), (
+        IrGate(K.COPY, ("a",), ("a1", "z")), IrGate(K.AND, ("a1", "b"), ("y",)),
+    ))
+    assert c == twin and hash(c) == hash(twin)
+    assert c.gates == twin.gates
+    assert eval_ir(c, {"a": 1, "b": 1}) == {"y": 1, "z": 1}
+
+
+IR_PACKED = {"name", "inputs", "outputs", "_kinds", "_ins", "_outs"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_blif(FANOUT_BLIF),
+    lambda: parse_blif(HALF_ADDER_BLIF),
+    lambda: parse_intermediate(write_intermediate(insert_copiers(parse_blif(FANOUT_BLIF)))),
+    lambda: insert_copiers(parse_blif(FANOUT_BLIF)),
+    lambda: gen_random_circuit(7, 5, 20),
+    lambda: insert_copiers(gen_random_circuit(7, 5, 20)),
+], ids=["blif-aliases", "blif", "intermediate", "copiers", "gen", "gen-copiers"])
+def test_every_ir_builder_stores_only_the_packed_form(build):
+    c = build()
+    assert set(vars(c)) == IR_PACKED
+    assert all(type(col) is tuple for col in (c.inputs, c.outputs, c._kinds,
+                                              c._ins, c._outs))
+    assert all(type(kind) is IrGateKind for kind in c._kinds)
+    assert all(type(nets) is tuple for nets in (*c._ins, *c._outs))
+    # what the commands run reads the columns only
+    assert validate_circuit(c) == []
+    write_intermediate(c)
+    p = insert_copiers(c)
+    s = slot_circuit(p)
+    r = convert_circuit(s)
+    conversion_trace(s)
+    s.slots
+    assert check_equivalence(c, r).equivalent
+    for built in (c, p):
+        assert set(vars(built)) == IR_PACKED | {"_index"}
+        # read once, the view is the IrGates the columns hold, and is kept
+        assert [(g.kind, g.inputs, g.outputs) for g in built.gates] == list(
+            zip(built._kinds, built._ins, built._outs))
+        assert set(vars(built)) == IR_PACKED | {"_index", "gates"}
+        assert built.gates is built.gates
+
+
+def test_an_unsound_circuit_is_judged_from_its_columns(no_ir_gates):
+    with pytest.raises(ValidationError) as err:
+        convert_circuit(slot_circuit(insert_copiers(
+            parse_blif(FANOUT_BLIF.replace(".inputs a b", ".inputs a"))
+        )))
+    assert [str(v) for v in err.value.violations] == [
+        "undriven-input: b", "undriven-input: b", "undriven-input: b",
+        "undriven-input: b", "undriven-input: b", "undriven-input: b",
+    ]
+
+
+def test_an_unbuilt_ir_circuit_has_no_view():
+    bare = object.__new__(IrCircuit)
+    assert not hasattr(bare, "gates")
+    with pytest.raises(AttributeError, match="no attribute 'gates'"):
+        bare.gates

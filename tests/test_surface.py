@@ -90,6 +90,9 @@ def private_imports():
 def test_modules_share_only_these_private_names():
     assert private_imports() == {
         ("fanout", "ir", "_fresh_names"),
+        ("fanout", "ir", "_ir_circuit"),
+        ("blif", "ir", "_ir_circuit"),
+        ("sim", "ir", "_ir_circuit"),
         ("convert", "ir", "_fresh_names"),
         ("convert", "ir", "_rev_circuit"),
         ("realfmt", "ir", "_rev_circuit"),

@@ -22,16 +22,20 @@ order, all in this one process:
   .real on 8 sampled assignments, seed 11, as compile_deep's verify.
 
 Prints one JSON object: per circuit and stage, the Python opcodes
-executed (sys.settrace with f_trace_opcodes) and the tracemalloc peak
-above the stage's starting size, in bytes; under "total", the opcodes
-summed over the circuits and the highest peak.  The two are taken in
-separate passes, each on freshly parsed circuits, with the garbage
-collector paused as cli.main pauses it.  Opcode counts do not depend on
-the machine's speed, so a change can state an exact delta beside its
-timed runs; the interpreter is re-run with PYTHONHASHSEED=0 so that they
-do not depend on the hash seed either.  A peak is exact only for
-unchanged code: it can move by a few hundred bytes when an earlier stage
-leaves the heap in another state.
+executed (sys.settrace with f_trace_opcodes), the tracemalloc peak above
+the stage's starting size, in bytes, and the memory blocks the stage
+leaves allocated (the sys.getallocatedblocks() delta across it), which
+counts the objects it builds and keeps, such as one per gate; under
+"total", the opcodes and blocks summed over the circuits and the highest
+peak.  The three are taken in separate passes, each on freshly parsed
+circuits, with the garbage collector paused as cli.main pauses it; the
+blocks pass runs last, so that the caches the earlier passes fill are
+not counted.  Opcode counts do not depend on the machine's speed, so a
+change can state an exact delta beside its timed runs; the interpreter
+is re-run with PYTHONHASHSEED=0 so that they do not depend on the hash
+seed either.  A peak is exact only for unchanged code: it can move by a
+few hundred bytes when an earlier stage leaves the heap in another
+state.  A block count repeats to within a block or so.
 """
 
 import gc
@@ -121,9 +125,17 @@ def peak_bytes(thunk):
     return tracemalloc.get_traced_memory()[1] - start
 
 
+def kept_blocks(thunk):
+    """How many more memory blocks are allocated after thunk() than before."""
+    start = sys.getallocatedblocks()
+    thunk()
+    return sys.getallocatedblocks() - start
+
+
 def measure(texts):
     """The JSON object's "circuits": name or "total" -> stage -> counts."""
-    result = {name: {stage: {"opcodes": 0, "peak_bytes": 0} for stage in STAGES}
+    result = {name: {stage: {"opcodes": 0, "peak_bytes": 0, "blocks": 0}
+                     for stage in STAGES}
               for name in (*texts, "total")}
     tracemalloc.start()
     for name, text in texts.items():
@@ -135,10 +147,14 @@ def measure(texts):
     for name, text in texts.items():
         for stage, thunk in pipeline(text):
             result[name][stage]["opcodes"] += count_opcodes(thunk)
+    for name, text in texts.items():
+        for stage, thunk in pipeline(text):
+            result[name][stage]["blocks"] += kept_blocks(thunk)
     for stage in STAGES:
         total = result["total"][stage]
         for name in texts:
             total["opcodes"] += result[name][stage]["opcodes"]
+            total["blocks"] += result[name][stage]["blocks"]
             total["peak_bytes"] = max(total["peak_bytes"], result[name][stage]["peak_bytes"])
     return result
 
