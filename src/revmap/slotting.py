@@ -14,8 +14,8 @@ outputs) are left out; slot 0 still lists every primary input.  The last
 slot therefore lists exactly the primary outputs.  Together the slots'
 nets grow with the square of a wide fanout's width, and conversion reads
 only the gates, so slot_circuit finds only each slot's gates, its waves:
-the slots, with their nets, are built on the first read of
-SlottedCircuit.slots.
+the slots, with their nets, are SlottedCircuit.slots, a cached_property
+built on its first read.
 """
 
 from dataclasses import dataclass
@@ -38,31 +38,39 @@ class Slot:
     nets: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SlottedCircuit:
     """A fanout-free circuit and its slots, slot 0 first.
 
-    _waves holds the gates of every slot after slot 0.  slot_circuit's
-    circuits are given only their waves, and build their slots on the
-    first read.
+    A slotted circuit holds one of two forms and derives the other: the
+    slots a caller gives, or the waves slot_circuit finds, the gates of
+    every slot after slot 0 (_waves).  Each is a cached_property built
+    from the other on its first read and kept, as IrCircuit's _index.
+
+    The constructor judges the caller's gate positions: slot 0 holds no
+    gates, and every gate of a later slot is an int position of a gate of
+    circuit; anything else is a ValueError naming the slot and the
+    position.
     """
 
     circuit: IrCircuit
-    slots: tuple[Slot, ...]
+    slots: tuple[Slot, ...] = cached_property(lambda s: _slots(s.circuit, s._waves))
+
+    def __init__(self, circuit, slots):
+        n = len(circuit._kinds)
+        for k, slot in enumerate(slots):
+            for g in slot.gates:
+                if k == 0:
+                    raise ValueError(f"slot 0 names gate {g!r}; it holds no gates")
+                if type(g) is not int or not 0 <= g < n:
+                    raise ValueError(
+                        f"slot {k} names gate {g!r}, which is not an int in range({n})"
+                    )
+        self.__dict__.update(circuit=circuit, slots=slots)
 
     @cached_property
     def _waves(self):
         return tuple(slot.gates for slot in self.slots[1:])
-
-    def __getattr__(self, name):
-        # called only for what the instance lacks: the slots of one that
-        # slot_circuit built, until they are first read
-        attrs = self.__dict__
-        if name != "slots" or "_waves" not in attrs:
-            raise AttributeError(
-                f"'SlottedCircuit' object has no attribute {name!r}"
-            )
-        return attrs.setdefault("slots", _slots(self.circuit, attrs["_waves"]))
 
 
 def slot_circuit(c):

@@ -206,6 +206,29 @@ def test_trace_rejects_what_the_converter_rejects(slotted, message):
         assert str(err.value) == message
 
 
+# (slot 0's gates, the later slots' gates, the error): positions are
+# judged where they enter, not aliased, left unfired or failed on later
+BAD_POSITIONS = [
+    ((), [(0,), (-1,)], "slot 2 names gate -1, which is not an int in range(2)"),
+    ((), [(0,), (2,)], "slot 2 names gate 2, which is not an int in range(2)"),
+    ((), [(True,), (1,)], "slot 1 names gate True, which is not an int in range(2)"),
+    ((), [("0",), (1,)], "slot 1 names gate '0', which is not an int in range(2)"),
+    ((), [(0.0,), (1,)], "slot 1 names gate 0.0, which is not an int in range(2)"),
+    ((1,), [(0,)], "slot 0 names gate 1; it holds no gates"),
+]
+
+
+@pytest.mark.parametrize("first, waves, message", BAD_POSITIONS,
+                         ids=["negative", "past-the-end", "bool", "str", "float",
+                              "gate-in-slot-0"])
+def test_caller_slot_positions_are_judged_where_they_enter(first, waves, message):
+    c = IrCircuit("m", ("a",), ("z",),
+                  (IrGate(K.NOT, ("a",), ("y",)), IrGate(K.NOT, ("y",), ("z",))))
+    with pytest.raises(ValueError) as err:
+        SlottedCircuit(c, (Slot(first, ("a",)), *(Slot(w, ()) for w in waves)))
+    assert str(err.value) == message
+
+
 def test_an_unsound_circuit_is_rejected_before_conversion():
     # a caller-built slotting of a circuit whose input name holds a space
     # would convert to a .real that declares one line under two names

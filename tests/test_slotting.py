@@ -223,6 +223,14 @@ def test_slots_of_slot_circuit_are_plain_slots():
     assert not hasattr(slotted.slots[0], "__dict__")  # Slot keeps its __slots__
 
 
+def test_an_unbuilt_slotted_circuit_has_no_slots():
+    bare = object.__new__(SlottedCircuit)
+    assert not hasattr(bare, "slots")
+    # the view names the field it reads first
+    with pytest.raises(AttributeError, match=r"^'SlottedCircuit' object has no attribute 'circuit'$"):
+        bare.slots
+
+
 def test_caller_built_slots_convert_as_slot_circuits():
     # a SlottedCircuit built from slots finds its waves in them
     for seed in range(40):

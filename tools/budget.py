@@ -19,7 +19,11 @@ order, all in this one process:
 - convert: convert_circuit;
 - write_real and parse_real: the .real text written and read back;
 - equivalence: check_equivalence of the parsed circuit against the read
-  .real on 8 sampled assignments, seed 11, as compile_deep's verify.
+  .real on 8 sampled assignments, seed 11, as compile_deep's verify;
+- views: the first read of each view that is built on demand: the gates
+  of the parsed and of the copier circuit, the slots of the slotted
+  circuit, and the lines and gates of the read .real.  No command reads
+  them; the benchmark's tracer and library callers do.
 
 Prints one JSON object: per circuit and stage, the Python opcodes
 executed (sys.settrace with f_trace_opcodes), the tracemalloc peak above
@@ -50,7 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEEP_SEED = 11  # the benchmark's seed; picks the random circuit's gen seed
 SAMPLES = 8  # compile_deep's verify --samples
 STAGES = ("parse", "validate", "fanout", "slot", "convert", "write_real",
-          "parse_real", "equivalence")
+          "parse_real", "equivalence", "views")
 
 
 def circuits():
@@ -93,6 +97,8 @@ def pipeline(text):
     yield "parse_real", lambda: got.setdefault("read", parse_real(got["text"]))
     yield "equivalence", lambda: check_equivalence(
         got["c"], got["read"], samples=SAMPLES, seed=DEEP_SEED)
+    yield "views", lambda: (got["c"].gates, got["p"].gates, got["s"].slots,
+                            got["read"].lines, got["read"].gates)
 
 
 def count_opcodes(thunk):
